@@ -142,8 +142,8 @@ fn main() {
     let mut max_ks = 0.0f64;
     let mut sim_messages = 0u64;
     for (f, sk) in report.flows.iter().enumerate() {
-        sim_messages += sk.count();
-        if sk.count() == 0 {
+        sim_messages += sk.total();
+        if sk.total() == 0 {
             continue;
         }
         let table = an.wait_cdf_table(f).expect("cdf table");

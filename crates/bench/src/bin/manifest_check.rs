@@ -43,7 +43,8 @@ fn require<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
 }
 
 /// One distribution sketch object: parallel `values`/`counts` arrays
-/// whose counts sum to `count`, with finite moments.
+/// (values strictly ascending integers, counts nonzero) whose counts sum
+/// to `count`, with finite moments.
 fn check_sketch(name: &str, sk: &JsonValue) -> Result<(), String> {
     let ctx = |msg: String| format!("sketch \"{name}\": {msg}");
     let count = require(sk, "count")?
@@ -67,6 +68,16 @@ fn check_sketch(name: &str, sk: &JsonValue) -> Result<(), String> {
             values.len(),
             counts.len()
         )));
+    }
+    let mut prev: Option<u64> = None;
+    for (i, v) in values.iter().enumerate() {
+        let v = v
+            .as_u64()
+            .ok_or_else(|| ctx(format!("values[{i}] is not a nonnegative integer")))?;
+        if prev.is_some_and(|p| p >= v) {
+            return Err(ctx(format!("values[{i}] {v} is not above values[{}]", i - 1)));
+        }
+        prev = Some(v);
     }
     let mut sum = 0u64;
     for (i, c) in counts.iter().enumerate() {
@@ -604,4 +615,27 @@ fn main() {
         }
     }
     std::process::exit(if failed { 1 } else { 0 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sketch(values: &str, counts: &str) -> Result<(), String> {
+        let doc = JsonValue::parse(&format!(
+            "{{\"kind\": \"exact\", \"count\": 6, \"mean\": 1, \"variance\": 1, \
+             \"values\": {values}, \"counts\": {counts}}}"
+        ))
+        .expect("test JSON parses");
+        check_sketch("s", &doc)
+    }
+
+    #[test]
+    fn sketch_values_must_be_strictly_ascending_integers() {
+        assert!(sketch("[0,2,7]", "[1,2,3]").is_ok());
+        for bad in ["[0,7,2]", "[0,2,2]", "[0,1.5,2]", "[-1,2,7]"] {
+            assert!(sketch(bad, "[1,2,3]").is_err(), "{bad} accepted");
+        }
+        assert!(sketch("[0,2,7]", "[1,0,5]").is_err(), "zero count accepted");
+    }
 }

@@ -119,7 +119,7 @@ fn main() {
             .sketches()
             .get(&name)
             .unwrap_or_else(|| panic!("missing sketch {name}"));
-        assert_eq!(sk.count(), st.count(), "{name}: count vs stage accumulator");
+        assert_eq!(sk.total(), st.count(), "{name}: count vs stage accumulator");
         assert!(
             (sk.mean() - st.mean()).abs() <= 1e-9 * st.mean().abs().max(1.0),
             "{name}: sketch mean {} vs stage mean {}",
@@ -138,14 +138,14 @@ fn main() {
         .get("net.wait.total")
         .expect("total sketch");
     assert_eq!(
-        total_sk.count(),
+        total_sk.total(),
         on_stats.delivered,
         "total sketch vs delivered"
     );
     eprintln!(
         "sketches: ok ({} stage pmfs + total, {} messages each)",
         on_stats.stage_waits.len(),
-        total_sk.count()
+        total_sk.total()
     );
 
     // One untimed warmup pass per variant, then interleaved samples.

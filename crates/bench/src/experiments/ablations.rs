@@ -59,7 +59,8 @@ pub fn ablation_covariance(scale: &Scale) -> String {
 /// §IV predictions) against the naive i.i.d. n-fold convolution of the
 /// exact first-stage pmf, both graded against the simulated histogram.
 pub fn ablation_convolution(scale: &Scale) -> String {
-    use banyan_stats::distance::{ks_distance, total_variation};
+    use banyan_obs::tail::ks_distance;
+    use banyan_stats::distance::total_variation;
     let mut t = TextTable::new(
         "Ablation: total-waiting distribution models vs simulation (k=2, KS / TV distances)",
     );

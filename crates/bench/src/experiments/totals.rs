@@ -16,9 +16,9 @@ use super::{BASE_SEED, TOTAL_CONFIGS, TOTAL_STAGE_COUNTS};
 use crate::profile::{total_profile, Scale};
 use crate::table::TextTable;
 use banyan_core::total_delay::TotalWaiting;
-use banyan_obs::DistSketch;
+use banyan_obs::tail::ks_distance;
 use banyan_sim::network::NetworkStats;
-use banyan_stats::distance::{ks_distance, tail_relative_error, total_variation};
+use banyan_stats::distance::{tail_relative_error, total_variation};
 use banyan_stats::Gamma;
 use std::fmt::Write as _;
 
@@ -164,37 +164,10 @@ pub fn figures(scale: &Scale) -> String {
     figures_from(&TotalRuns::collect(scale))
 }
 
-/// Relative error of the model tail probability at the sketch's
-/// empirical `q`-quantile — the sketch-backed counterpart of
-/// [`banyan_stats::distance::tail_relative_error`]. The sketch's CCDF
-/// is an exact count ratio over the lossless pmf, so
-/// `P_emp(X > x_q) = ccdf_at(x_q + 1)` has no cancellation error —
-/// unlike the histogram's `1 − cdf_at(x_q)`, which can be a few ULPs
-/// off. The two agree to ~1e-12 relative on the same data (pinned by a
-/// test below).
-pub fn sketch_tail_error(
-    sk: &DistSketch,
-    model_sf: impl Fn(f64) -> f64,
-    q: f64,
-) -> Option<f64> {
-    if sk.count() == 0 {
-        return None;
-    }
-    let xq = sk.quantile(q);
-    let emp_tail = sk.ccdf_at(xq + 1);
-    if emp_tail <= 0.0 {
-        return None;
-    }
-    let model_tail = model_sf(xq as f64 + 1.0);
-    Some((model_tail - emp_tail).abs() / emp_tail)
-}
-
 /// Summary of gamma-approximation quality across every panel (the
 /// quantified version of the paper's "incredibly good match … especially
-/// at the tails"). Tail probabilities and the KS statistic are read from
-/// a [`DistSketch`] built over the run's total-wait pmf — the same
-/// distribution object the simulator telemetry exports — rather than
-/// from ad-hoc histogram scans.
+/// at the tails"). Every column reads the run's exact total-wait pmf —
+/// the same distribution object the simulator telemetry exports.
 pub fn tail_quality_from(runs: &TotalRuns) -> String {
     let mut t = TextTable::new("Gamma-approximation quality across all figure panels");
     t.header([
@@ -205,17 +178,17 @@ pub fn tail_quality_from(runs: &TotalRuns) -> String {
             let stats = &runs.runs[ci][ni];
             let model = TotalWaiting::new(2, n, p, m);
             let Some(g) = model.gamma() else { continue };
-            let sk = DistSketch::from_dense_counts(stats.total_hist.counts());
-            let ks = banyan_obs::tail::ks_distance(&sk, |x| g.cdf(x));
-            let tv = total_variation(&stats.total_hist, |v| g.bin_prob(v));
+            let pmf = &stats.total_hist;
+            let ks = ks_distance(pmf, |x| g.cdf(x));
+            let tv = total_variation(pmf, |v| g.bin_prob(v));
             let fmt = |o: Option<f64>| o.map_or("n/a".to_string(), |e| format!("{e:.3}"));
             t.row([
                 format!("{label} (p={p}, m={m})"),
                 format!("{n}"),
                 format!("{ks:.4}"),
                 format!("{tv:.4}"),
-                fmt(sketch_tail_error(&sk, |x| g.sf(x), 0.90)),
-                fmt(sketch_tail_error(&sk, |x| g.sf(x), 0.99)),
+                fmt(tail_relative_error(pmf, |x| g.sf(x), 0.90)),
+                fmt(tail_relative_error(pmf, |x| g.sf(x), 0.99)),
             ]);
         }
     }
@@ -303,29 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_helpers_agree_with_histogram_helpers() {
-        // The sketch-backed tail/KS readings must equal the histogram
-        // versions bit-for-bit on the same data — the tail_quality table
-        // rework changes the data source, not the numbers.
-        let stats = run_config(0.5, 1, 3, 2, &Scale::quick());
-        let model = TotalWaiting::new(2, 3, 0.5, 1);
-        let g = model.gamma().unwrap();
-        let sk = DistSketch::from_dense_counts(stats.total_hist.counts());
-        assert_eq!(sk.count(), stats.total_hist.total());
-        let ks_hist = ks_distance(&stats.total_hist, |x| g.cdf(x));
-        let ks_sk = banyan_obs::tail::ks_distance(&sk, |x| g.cdf(x));
-        assert_eq!(ks_sk.to_bits(), ks_hist.to_bits());
-        // Tail errors agree to rounding: the sketch CCDF is an exact
-        // count ratio, the histogram's `1 − cdf` may differ by a few
-        // ULPs of cancellation.
-        for q in [0.90, 0.99] {
-            let a = tail_relative_error(&stats.total_hist, |x| g.sf(x), q).unwrap();
-            let b = sketch_tail_error(&sk, |x| g.sf(x), q).unwrap();
-            assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "q={q}: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn total_wait_ks_vs_prediction_pinned_at_half_load() {
         // Tier-1 drift gate at the calibration point k = 2, p = 0.5,
         // m = 1 (3 stages, quick scale, fixed seed): the KS distance
@@ -336,11 +286,10 @@ mod tests {
         let stats = run_config(0.5, 1, 3, BASE_SEED + 100 + 16, &Scale::quick());
         let model = TotalWaiting::new(2, 3, 0.5, 1);
         let g = model.gamma().unwrap();
-        let sk = DistSketch::from_dense_counts(stats.total_hist.counts());
-        let ks = banyan_obs::tail::ks_distance(&sk, |x| g.cdf(x));
+        let ks = ks_distance(&stats.total_hist, |x| g.cdf(x));
         assert!(ks < 0.05, "KS drift vs prediction: {ks}");
         // And the simulated mean sits near the analytic stage-sum mean.
-        let rel = (sk.mean() - model.mean_total()).abs() / model.mean_total();
+        let rel = (stats.total_hist.mean() - model.mean_total()).abs() / model.mean_total();
         assert!(rel < 0.05, "mean drift: {rel}");
     }
 }

@@ -18,7 +18,7 @@ fn main() {
     );
     println!("-- links (model = tagged-stream mixture) --");
     for (l, sk) in rep.links.iter().enumerate() {
-        if sk.count() == 0 {
+        if sk.total() == 0 {
             continue;
         }
         let node = &g.nodes()[g.links()[l].from];

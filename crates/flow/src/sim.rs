@@ -111,12 +111,8 @@ pub fn simulate_network_traced(
 ) -> FlowSimReport {
     assert!(cfg.reps >= 1, "need at least one replication");
     let mut merged = FlowSimReport {
-        flows: (0..graph.flows().len())
-            .map(|_| DistSketch::new_exact())
-            .collect(),
-        links: (0..graph.links().len())
-            .map(|_| DistSketch::new_exact())
-            .collect(),
+        flows: vec![DistSketch::new(); graph.flows().len()],
+        links: vec![DistSketch::new(); graph.links().len()],
     };
     for i in 0..cfg.reps {
         let seed = cfg.seed.wrapping_add(u64::from(i));
@@ -149,9 +145,8 @@ fn run_once(
     // strictly in the future (w + 1 ≥ 1), so the current cycle's list
     // can be drained up front.
     let mut calendar: BTreeMap<u64, Vec<Msg>> = BTreeMap::new();
-    let mut sketches: Vec<DistSketch> = (0..flows.len()).map(|_| DistSketch::new_exact()).collect();
-    let mut link_sketches: Vec<DistSketch> =
-        (0..links.len()).map(|_| DistSketch::new_exact()).collect();
+    let mut sketches = vec![DistSketch::new(); flows.len()];
+    let mut link_sketches = vec![DistSketch::new(); links.len()];
     let inject_end = cfg.warmup_cycles + cfg.measure_cycles + COOLDOWN_CYCLES;
     let measure_end = cfg.warmup_cycles + cfg.measure_cycles;
     // Tracked-injection ordinal: counts measured injections in
@@ -270,7 +265,7 @@ mod tests {
             ..quick_cfg()
         };
         let sk = simulate_flows(&g, &cfg);
-        let mut all = DistSketch::new_exact();
+        let mut all = DistSketch::new();
         all.merge(&sk[0]);
         all.merge(&sk[1]);
         assert!((all.mean() - 0.25).abs() < 0.02, "{}", all.mean());
@@ -282,10 +277,7 @@ mod tests {
         let g = omega(2, 2, 0.4, 1);
         let a = simulate_flows(&g, &quick_cfg());
         let b = simulate_flows(&g, &quick_cfg());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.count(), y.count());
-            assert_eq!(x.count_points(), y.count_points());
-        }
+        assert_eq!(a, b);
         let single = simulate_flows(
             &g,
             &FlowSimConfig {
@@ -294,7 +286,7 @@ mod tests {
             },
         );
         // More reps → strictly more samples.
-        assert!(a[0].count() > single[0].count());
+        assert!(a[0].total() > single[0].total());
     }
 
     #[test]
@@ -311,12 +303,10 @@ mod tests {
         let tracer = MsgTracer::new(1.0);
         let traced = simulate_network_traced(&g, &cfg, Some(&tracer));
         // Tracing is purely observational.
-        for (a, b) in plain.flows.iter().zip(&traced.flows) {
-            assert_eq!(a.count_points(), b.count_points());
-        }
+        assert_eq!(plain.flows, traced.flows);
         let records = tracer.finish();
         // Rate 1.0: one record per measured message.
-        let measured: u64 = plain.flows.iter().map(DistSketch::count).sum();
+        let measured: u64 = plain.flows.iter().map(DistSketch::total).sum();
         assert_eq!(records.len() as u64, measured);
         // Hop counts are variable; the header declares stages: 0 and the
         // parser accepts per-record lengths.
@@ -326,10 +316,8 @@ mod tests {
         assert_eq!(parsed.stages, None);
         assert_eq!(parsed.records.len(), records.len());
         // Record totals replay the end-to-end pmf exactly.
-        let mut sk: Vec<DistSketch> = (0..g.flows().len())
-            .map(|_| DistSketch::new_exact())
-            .collect();
-        let mut all = DistSketch::new_exact();
+        let mut sk = vec![DistSketch::new(); g.flows().len()];
+        let mut all = DistSketch::new();
         for r in &records {
             assert!(r.digits.is_empty());
             all.record(r.total_wait());
@@ -337,7 +325,7 @@ mod tests {
         for f in &plain.flows {
             sk[0].merge(f);
         }
-        assert_eq!(all.count_points(), sk[0].count_points());
+        assert_eq!(all, sk[0]);
         // Sub-rate sampling is a subset and deterministic.
         let t1 = MsgTracer::new(0.25);
         simulate_network_traced(&g, &cfg, Some(&t1));
@@ -360,6 +348,6 @@ mod tests {
         let out = g.add_link(a, None);
         g.add_flow(a, a, 0.0, vec![out]).unwrap();
         let sk = simulate_flows(&g, &quick_cfg());
-        assert_eq!(sk[0].count(), 0);
+        assert_eq!(sk[0].total(), 0);
     }
 }

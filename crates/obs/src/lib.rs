@@ -3,7 +3,7 @@
 //! Zero-dependency run telemetry for the banyan reproduction: a
 //! metrics [`registry`] (monotonic counters, gauges with high-water
 //! marks, fixed-bucket histograms), hierarchical [`span`] timers,
-//! distribution [`sketch`]es (exact sparse integer pmfs, P² streaming
+//! distribution [`sketch`]es (exact integer pmfs, P² streaming
 //! quantiles), [`tail`] tracking with analytic drift checks, a
 //! `chrome://tracing` [`trace`] exporter, a sampled per-message
 //! lifecycle tracer ([`msgtrace`]), a rate-limited stderr

@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn sketches_and_sections_are_embedded() {
         let tel = Telemetry::new(TelemetryConfig::on());
-        let mut sk = crate::DistSketch::new_exact();
+        let mut sk = crate::DistSketch::new();
         sk.record_n(0, 3);
         sk.record_n(2, 1);
         tel.sketches().merge_sketch("net.wait.total", &sk);

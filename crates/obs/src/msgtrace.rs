@@ -405,7 +405,10 @@ fn rec_arr(doc: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
 /// `enter[j] ≤ start[j] < enter[j+1]` with `start = enter + wait` and
 /// `enter[j+1] = start[j] + 1` exactly, the sum-of-stage-waits
 /// identity `total = Σ wait[j]`, digits either absent or one per
-/// stage, and file-wide strictly ascending `(rep, ord)` order.
+/// stage, and file-wide strictly ascending `(rep, ord)` order. Values
+/// the renderer can never emit are refused rather than truncated or
+/// wrapped: a wait, header `stages` or header `reps` beyond `u32`, and
+/// a cycle chain or wait sum that overflows `u64`.
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.is_empty());
     let (_, first) = lines.next().ok_or("trace file is empty")?;
@@ -421,10 +424,14 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
         .and_then(JsonValue::as_str)
         .ok_or("line 1: name is not a string")?
         .to_string();
-    let stages_raw = rec_u64(&header, "stages").map_err(|e| format!("line 1: {e}"))?;
-    let stages = (stages_raw > 0).then_some(stages_raw as u32);
+    let header_u32 = |key: &str| {
+        let v = rec_u64(&header, key).map_err(|e| format!("line 1: {e}"))?;
+        u32::try_from(v).map_err(|_| format!("line 1: {key} {v} does not fit 32 bits"))
+    };
+    let stages_raw = header_u32("stages")?;
+    let stages = (stages_raw > 0).then_some(stages_raw);
     let seed = rec_u64(&header, "seed").map_err(|e| format!("line 1: {e}"))?;
-    let reps = rec_u64(&header, "reps").map_err(|e| format!("line 1: {e}"))? as u32;
+    let reps = header_u32("reps")?;
     let rate = header
         .get("rate")
         .and_then(JsonValue::as_f64)
@@ -477,15 +484,23 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 enter[0]
             )));
         }
-        // The monotone lifecycle chain, exactly as derived.
+        let waits = wait
+            .iter()
+            .enumerate()
+            .map(|(j, &w)| {
+                u32::try_from(w).map_err(|_| ctx(format!("wait[{j}] {w} does not fit 32 bits")))
+            })
+            .collect::<Result<Vec<u32>, String>>()?;
+        // The monotone lifecycle chain, exactly as derived; an overflowing
+        // sum can never equal a valid cycle.
         for j in 0..n {
-            if start[j] != enter[j] + wait[j] {
+            if enter[j].checked_add(wait[j]) != Some(start[j]) {
                 return Err(ctx(format!(
                     "start[{j}] {} != enter[{j}] {} + wait[{j}] {}",
                     start[j], enter[j], wait[j]
                 )));
             }
-            if j + 1 < n && enter[j + 1] != start[j] + 1 {
+            if j + 1 < n && start[j].checked_add(1) != Some(enter[j + 1]) {
                 return Err(ctx(format!(
                     "enter[{}] {} != start[{j}] {} + 1 (cut-through)",
                     j + 1,
@@ -494,10 +509,11 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                 )));
             }
         }
-        if wait.iter().sum::<u64>() != total {
+        let sum = wait.iter().try_fold(0u64, |acc, &w| acc.checked_add(w));
+        if sum != Some(total) {
             return Err(ctx(format!(
                 "total {total} != sum of stage waits {}",
-                wait.iter().sum::<u64>()
+                sum.map_or("(overflows u64)".to_string(), |s| s.to_string())
             )));
         }
         let key = (rep, ord);
@@ -515,7 +531,7 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             ord,
             inject,
             digits: digits.iter().map(|&d| d as u8).collect(),
-            waits: wait.iter().map(|&w| w as u32).collect(),
+            waits,
         });
     }
     Ok(ParsedTrace {
@@ -628,6 +644,64 @@ mod tests {
         assert!(parse_trace(&format!("{h}\n{a}\n{b}\n")).is_err());
         // Ordered is fine.
         assert!(parse_trace(&format!("{h}\n{b}\n{a}\n")).is_ok());
+    }
+
+    /// A one-stage record line with explicit fields, for crafting input
+    /// the renderer would never produce.
+    fn raw_line(inject: u64, wait: u64, start: u64, total: u64) -> String {
+        format!(
+            "{{\"kind\": \"msg\", \"rep\": 0, \"ord\": 0, \"inject\": {inject}, \
+             \"digits\": [], \"enter\": [{inject}], \"start\": [{start}], \
+             \"wait\": [{wait}], \"total\": {total}}}"
+        )
+    }
+
+    #[test]
+    fn parser_refuses_waits_beyond_32_bits() {
+        let h = header_object("t", 1, 1, 1, 1.0).finish();
+        // Consistent chain and total, but 2^32 + 1 would truncate to 1.
+        let w = (1u64 << 32) + 1;
+        let line = raw_line(5, w, 5 + w, w);
+        let err = parse_trace(&format!("{h}\n{line}\n")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        assert!(err.contains("wait[0] 4294967297"), "{err}");
+        // The largest representable wait still parses.
+        let max = u64::from(u32::MAX);
+        let ok = raw_line(5, max, 5 + max, max);
+        let parsed = parse_trace(&format!("{h}\n{ok}\n")).expect("u32::MAX wait");
+        assert_eq!(parsed.records[0].waits, vec![u32::MAX]);
+    }
+
+    #[test]
+    fn parser_refuses_wrapping_cycle_chains() {
+        let h = header_object("t", 1, 1, 1, 1.0).finish();
+        // enter + wait = 2^63 + 2^63 wraps to 0 = start in u64.
+        let big = 1u64 << 63;
+        let line = raw_line(big, big, 0, big);
+        let err = parse_trace(&format!("{h}\n{line}\n")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        // A wait that fits 32 bits, on an enter cycle (exact in the
+        // f64-backed JSON numbers) close enough to 2^64 that the sum
+        // wraps to the stated start.
+        let enter = u64::MAX - 2047;
+        let line = raw_line(enter, 4096, 2048, 4096);
+        let err = parse_trace(&format!("{h}\n{line}\n")).unwrap_err();
+        assert!(
+            err.starts_with("line 2: start[0] 2048 != enter[0]"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parser_refuses_header_counts_beyond_32_bits() {
+        let too_big = (1u64 << 32) + 2;
+        for key in ["stages", "reps"] {
+            let h = header_object("t", 1, 1, 1, 1.0)
+                .finish()
+                .replace(&format!("\"{key}\": 1"), &format!("\"{key}\": {too_big}"));
+            let err = parse_trace(&format!("{h}\n")).unwrap_err();
+            assert!(err.contains(&format!("line 1: {key} {too_big}")), "{err}");
+        }
     }
 
     #[test]

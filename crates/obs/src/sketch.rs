@@ -1,16 +1,16 @@
-//! Distribution sketches: lossless integer pmfs and streaming quantiles.
+//! Distribution sketches: exact integer pmfs and streaming quantiles.
 //!
 //! The paper's central object is the *distribution* of waiting times,
 //! not its mean — so the telemetry layer captures shape, not just
 //! scalars. Two sketch kinds cover the two value domains we meet:
 //!
-//! * [`DistSketch::Exact`] — a sparse integer histogram. Waiting times
-//!   in a clocked network are small non-negative integers (cycles), so
-//!   the full pmf fits in a handful of map entries and can be captured
-//!   **losslessly**. Mean and variance are computed from exact integer
-//!   sums (`Σv`, `Σv²`), so they agree bit-for-bit with any other exact
-//!   accumulation over the same values. Merging two sketches is plain
-//!   counter addition — commutative and lossless — so per-worker
+//! * [`DistSketch`] — the exact pmf of an integer quantity. Waiting
+//!   times in a clocked network are small non-negative integers
+//!   (cycles), so the full pmf fits in a short dense count vector and is
+//!   captured **losslessly**. Mean and variance come from exact `u128`
+//!   sums (`Σv`, `Σv²`) computed when read, so they agree bit-for-bit
+//!   with any other exact accumulation over the same values. Merging is
+//!   plain counter addition — commutative and lossless — so per-worker
 //!   instances fold cleanly in `runner`'s replication merge.
 //! * [`P2Quantile`] — the Jain & Chlamtac P² streaming estimator for
 //!   continuous values (span durations in seconds), five markers per
@@ -38,207 +38,193 @@ pub fn quantile_label(q: f64) -> String {
     }
 }
 
-/// A mergeable distribution sketch.
+/// The exact pmf of a non-negative integer quantity — the one integer
+/// distribution type shared by the simulators, telemetry, the flow event
+/// check and the daemon.
 ///
-/// Currently one variant: the exact sparse integer histogram. The enum
-/// leaves room for lossy variants (e.g. DDSketch-style relative-error
-/// bins) without changing the registry or manifest surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistSketch {
-    /// Exact sparse pmf over non-negative integers.
-    Exact {
-        /// value -> count, sparse (only observed values present).
-        counts: BTreeMap<u64, u64>,
-        /// Total number of recorded observations.
-        count: u64,
-        /// Exact integer sum of recorded values.
-        sum: u128,
-        /// Exact integer sum of squared values.
-        sum_sq: u128,
-    },
-}
-
-impl Default for DistSketch {
-    fn default() -> Self {
-        Self::new_exact()
-    }
+/// Dense: `counts[v]` is the number of observations equal to `v`, so
+/// memory is O(largest value). The vector never ends in a zero bin
+/// (`record_n(v, 0)` and merging an empty pmf allocate nothing), which
+/// makes the derived equality a multiset equality: two pmfs built from
+/// the same observations compare equal in any recording order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DistSketch {
+    counts: Vec<u64>,
+    total: u64,
 }
 
 impl DistSketch {
-    /// An empty exact sketch.
-    pub fn new_exact() -> Self {
-        DistSketch::Exact {
-            counts: BTreeMap::new(),
-            count: 0,
-            sum: 0,
-            sum_sq: 0,
-        }
+    /// An empty pmf.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Build an exact sketch from a dense `counts[value] = n` slice
-    /// (the layout used by `banyan-stats`' `IntHistogram`).
-    pub fn from_dense_counts(dense: &[u64]) -> Self {
-        let mut s = Self::new_exact();
-        for (v, &n) in dense.iter().enumerate() {
-            if n > 0 {
-                s.record_n(v as u64, n);
-            }
-        }
-        s
-    }
-
-    /// Record one observation of `value`.
+    /// Record one observation of `value`: a single dense increment, cheap
+    /// enough for the simulators' per-delivery fold.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }
 
-    /// Record `n` observations of `value`.
+    /// Record `n` observations of `value` (nothing at all when `n == 0`).
+    #[inline]
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
-        let DistSketch::Exact {
-            counts,
-            count,
-            sum,
-            sum_sq,
-        } = self;
-        *counts.entry(value).or_insert(0) += n;
-        *count += n;
-        *sum += value as u128 * n as u128;
-        *sum_sq += (value as u128 * value as u128) * n as u128;
+        let idx = value as usize;
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += n;
+        self.total += n;
     }
 
-    /// Fold another sketch into this one. Exact and lossless: the
-    /// result is identical to having recorded both observation streams
-    /// into a single sketch, in any order.
+    /// Fold another pmf into this one. Exact and lossless: the result
+    /// equals having recorded both observation streams into one pmf, in
+    /// any order.
     pub fn merge(&mut self, other: &DistSketch) {
-        let DistSketch::Exact {
-            counts: oc,
-            count: on,
-            sum: os,
-            sum_sq: osq,
-        } = other;
-        let DistSketch::Exact {
-            counts,
-            count,
-            sum,
-            sum_sq,
-        } = self;
-        for (&v, &n) in oc {
-            *counts.entry(v).or_insert(0) += n;
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
-        *count += on;
-        *sum += os;
-        *sum_sq += osq;
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.total += other.total;
     }
 
     /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        let DistSketch::Exact { count, .. } = self;
-        *count
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
-    /// Exact mean; a documented `0.0` on an empty sketch (never NaN).
+    /// Largest recorded value (`None` when empty).
+    pub fn max_value(&self) -> Option<u64> {
+        self.counts.len().checked_sub(1).map(|v| v as u64)
+    }
+
+    /// Exact integer sums `(Σv·c, Σv²·c)` over the pmf.
+    fn sums(&self) -> (u128, u128) {
+        self.count_points().fold((0, 0), |(s, sq), (v, c)| {
+            let (v, c) = (u128::from(v), u128::from(c));
+            (s + v * c, sq + v * v * c)
+        })
+    }
+
+    /// Exact mean; a documented `0.0` when empty (never NaN).
     pub fn mean(&self) -> f64 {
-        let DistSketch::Exact { count, sum, .. } = self;
-        if *count == 0 {
-            0.0
-        } else {
-            *sum as f64 / *count as f64
-        }
-    }
-
-    /// Exact population variance; `0.0` on an empty sketch.
-    pub fn variance(&self) -> f64 {
-        let DistSketch::Exact {
-            count, sum, sum_sq, ..
-        } = self;
-        if *count == 0 {
+        if self.total == 0 {
             return 0.0;
         }
-        let n = *count as f64;
-        let mean = *sum as f64 / n;
+        self.sums().0 as f64 / self.total as f64
+    }
+
+    /// Exact population variance; `0.0` when empty.
+    pub fn variance(&self) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let (sum, sum_sq) = self.sums();
+        let n = self.total as f64;
+        let mean = sum as f64 / n;
         // E[X²] − E[X]²; the integer sums are exact so the only
         // rounding is the final float arithmetic.
-        (*sum_sq as f64 / n - mean * mean).max(0.0)
+        (sum_sq as f64 / n - mean * mean).max(0.0)
     }
 
-    /// The sparse support points `(value, count)`, ascending. Exact
-    /// integer counts — the raw material for cumulative statistics that
-    /// must be bit-reproducible (running integer sums divided once,
-    /// rather than accumulated float probabilities).
-    pub fn count_points(&self) -> Vec<(u64, u64)> {
-        let DistSketch::Exact { counts, .. } = self;
-        counts.iter().map(|(&v, &c)| (v, c)).collect()
+    /// The support points `(value, count)`, ascending, zero bins
+    /// skipped. Exact integer counts — the raw material for cumulative
+    /// statistics that must be bit-reproducible (running integer sums
+    /// divided once, rather than accumulated float probabilities).
+    pub fn count_points(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(v, &c)| (v as u64, c))
     }
 
-    /// The sparse pmf points `(value, P(X = value))`, ascending.
+    /// The pmf points `(value, P(X = value))`, ascending, zero bins
+    /// skipped.
     pub fn pmf_points(&self) -> Vec<(u64, f64)> {
-        let DistSketch::Exact { counts, count, .. } = self;
-        if *count == 0 {
-            return Vec::new();
-        }
-        let n = *count as f64;
-        counts.iter().map(|(&v, &c)| (v, c as f64 / n)).collect()
+        let n = self.total as f64;
+        self.count_points()
+            .map(|(v, c)| (v, c as f64 / n))
+            .collect()
     }
 
-    /// Complementary CDF `P(X >= value)`; exact; `0.0` when empty.
-    pub fn ccdf_at(&self, value: u64) -> f64 {
-        let DistSketch::Exact { counts, count, .. } = self;
-        if *count == 0 {
+    /// Probability `P(X = value)`; `0.0` when empty.
+    pub fn pmf_at(&self, value: u64) -> f64 {
+        if self.total == 0 {
             return 0.0;
         }
-        let ge: u64 = counts.range(value..).map(|(_, &c)| c).sum();
-        ge as f64 / *count as f64
+        let c = self.counts.get(value as usize).copied().unwrap_or(0);
+        c as f64 / self.total as f64
     }
 
     /// CDF `P(X <= value)`; exact; `0.0` when empty.
     pub fn cdf_at(&self, value: u64) -> f64 {
-        let DistSketch::Exact { counts, count, .. } = self;
-        if *count == 0 {
+        if self.total == 0 {
             return 0.0;
         }
-        let le: u64 = counts.range(..=value).map(|(_, &c)| c).sum();
-        le as f64 / *count as f64
+        let upto = (value as usize).saturating_add(1).min(self.counts.len());
+        let le: u64 = self.counts[..upto].iter().sum();
+        le as f64 / self.total as f64
     }
 
-    /// Smallest value v with `P(X <= v) >= q`. Empty sketch: 0.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let DistSketch::Exact { counts, count, .. } = self;
-        if *count == 0 {
-            return 0;
+    /// Complementary CDF `P(X >= value)`; exact (a count ratio, not
+    /// `1 − cdf_at(value − 1)` with its cancellation error); `0.0` when
+    /// empty.
+    pub fn ccdf_at(&self, value: u64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * *count as f64).ceil().max(1.0) as u64;
+        let from = (value as usize).min(self.counts.len());
+        let ge: u64 = self.counts[from..].iter().sum();
+        ge as f64 / self.total as f64
+    }
+
+    /// Smallest value `v` with `P(X <= v) >= q`, for `q ∈ [0, 1]` (`q = 0`
+    /// gives the smallest observation). `None` when empty.
+    ///
+    /// # Panics
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        assert!((0.0..=1.0).contains(&q), "quantile level must be in [0,1]");
+        if self.total == 0 {
+            return None;
+        }
+        let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut acc = 0u64;
-        for (&v, &c) in counts {
+        for (v, c) in self.count_points() {
             acc += c;
             if acc >= target {
-                return v;
+                return Some(v);
             }
         }
-        *counts.keys().next_back().expect("non-empty")
+        self.max_value()
     }
 
     /// Serialize to a JSON object: kind, count, exact moments, report
-    /// quantiles, and the full sparse pmf as parallel arrays.
+    /// quantiles (0 when empty), and the pmf as parallel ascending
+    /// `values`/`counts` arrays with zero bins omitted.
     pub fn to_json(&self) -> String {
-        let DistSketch::Exact { counts, count, .. } = self;
         let mut o = JsonObject::new();
         o.field_str("kind", "exact")
-            .field_u64("count", *count)
+            .field_u64("count", self.total)
             .field_f64("mean", self.mean())
             .field_f64("variance", self.variance());
         let mut q = JsonObject::new();
         for &p in &REPORT_QUANTILES {
-            q.field_u64(&quantile_label(p), self.quantile(p));
+            q.field_u64(&quantile_label(p), self.quantile(p).unwrap_or(0));
         }
         o.field_raw("quantiles", &q.finish());
-        let values: Vec<String> = counts.keys().map(|v| v.to_string()).collect();
-        let cs: Vec<String> = counts.values().map(|c| c.to_string()).collect();
+        let (values, counts): (Vec<String>, Vec<String>) = self
+            .count_points()
+            .map(|(v, c)| (v.to_string(), c.to_string()))
+            .unzip();
         o.field_raw("values", &format!("[{}]", values.join(",")));
-        o.field_raw("counts", &format!("[{}]", cs.join(",")));
+        o.field_raw("counts", &format!("[{}]", counts.join(",")));
         o.finish()
     }
 }
@@ -463,9 +449,7 @@ impl SketchSet {
     /// order without affecting the result.
     pub fn merge_sketch(&self, name: &str, sketch: &DistSketch) {
         let mut map = self.sketches.lock().expect("sketch registry poisoned");
-        map.entry(name.to_string())
-            .or_insert_with(DistSketch::new_exact)
-            .merge(sketch);
+        map.entry(name.to_string()).or_default().merge(sketch);
     }
 
     /// Clone of the named sketch, if present.
@@ -520,45 +504,75 @@ pub fn points_json(points: &[(u64, f64)]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn exact_sketch_moments_match_direct_computation() {
-        let mut s = DistSketch::new_exact();
-        let data = [0u64, 0, 1, 2, 2, 2, 5, 9];
-        for &v in &data {
+    fn pmf(values: &[u64]) -> DistSketch {
+        let mut s = DistSketch::new();
+        for &v in values {
             s.record(v);
         }
+        s
+    }
+
+    #[test]
+    fn exact_sketch_moments_match_direct_computation() {
+        let data = [0u64, 0, 1, 2, 2, 2, 5, 9];
+        let s = pmf(&data);
         let n = data.len() as f64;
         let mean = data.iter().sum::<u64>() as f64 / n;
         let var = data.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
-        assert_eq!(s.count(), data.len() as u64);
+        assert_eq!(s.total(), data.len() as u64);
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.variance() - var).abs() < 1e-12);
     }
 
     #[test]
+    fn moments_match_hand_computation() {
+        // E X = 1, E X² = (0 + 1 + 1 + 4)/4 = 1.5, var = 0.5.
+        let h = pmf(&[0, 1, 1, 2]);
+        assert_eq!(h.mean(), 1.0);
+        assert_eq!(h.variance(), 0.5);
+    }
+
+    #[test]
     fn empty_sketch_is_documented_zeroes() {
-        let s = DistSketch::new_exact();
-        assert_eq!(s.count(), 0);
+        let s = DistSketch::new();
+        assert_eq!(s.total(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.quantile(0.99), 0);
+        assert_eq!(s.pmf_at(0), 0.0);
         assert_eq!(s.ccdf_at(0), 0.0);
         assert!(s.pmf_points().is_empty());
+        assert!(s.to_json().contains("\"p99\": 0"));
+    }
+
+    #[test]
+    fn empty_histogram() {
+        let h = DistSketch::new();
+        assert_eq!(h.total(), 0);
+        assert_eq!(h.max_value(), None);
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.cdf_at(10), 0.0);
+    }
+
+    #[test]
+    fn counts_and_pmf() {
+        let h = pmf(&[0, 1, 1, 3]);
+        assert_eq!(h.total(), 4);
+        assert_eq!(
+            h.count_points().collect::<Vec<_>>(),
+            vec![(0, 1), (1, 2), (3, 1)]
+        );
+        assert_eq!(h.pmf_points(), vec![(0, 0.25), (1, 0.5), (3, 0.25)]);
+        assert_eq!(h.pmf_at(1), 0.5);
+        assert_eq!(h.pmf_at(2), 0.0);
+        assert_eq!(h.pmf_at(99), 0.0);
+        assert_eq!(h.max_value(), Some(3));
     }
 
     #[test]
     fn merge_is_lossless_and_order_free() {
-        let mut a = DistSketch::new_exact();
-        let mut b = DistSketch::new_exact();
-        let mut whole = DistSketch::new_exact();
-        for v in [1u64, 1, 3, 7] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [0u64, 3, 3, 40] {
-            b.record(v);
-            whole.record(v);
-        }
+        let a = pmf(&[1, 1, 3, 7]);
+        let b = pmf(&[0, 3, 3, 40]);
+        let whole = pmf(&[1, 1, 3, 7, 0, 3, 3, 40]);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
@@ -568,15 +582,56 @@ mod tests {
     }
 
     #[test]
+    fn merge_equals_union() {
+        let mut a = pmf(&[0, 1, 5]);
+        a.merge(&pmf(&[1, 2, 2, 8]));
+        let whole = pmf(&[0, 1, 5, 1, 2, 2, 8]);
+        assert_eq!(a.total(), whole.total());
+        assert_eq!(a.pmf_points(), whole.pmf_points());
+    }
+
+    #[test]
+    fn pmf_sums_to_one() {
+        let h = pmf(&[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]);
+        let s: f64 = h.pmf_points().iter().map(|&(_, p)| p).sum();
+        assert!((s - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let mut a = DistSketch::new();
+        a.record_n(4, 7);
+        assert_eq!(a, pmf(&[4; 7]));
+    }
+
+    #[test]
+    fn zero_counts_and_empty_merges_leave_no_trailing_bins() {
+        // Equality is a multiset equality only while no pmf ends in a
+        // zero bin: neither a zero-count record nor an empty merge may
+        // grow the vector.
+        let base = pmf(&[0, 2, 2]);
+        let mut zero = base.clone();
+        zero.record_n(1_000, 0);
+        assert_eq!(zero, base);
+        let mut merged = base.clone();
+        merged.merge(&DistSketch::new());
+        assert_eq!(merged, base);
+        let mut from_empty = DistSketch::new();
+        from_empty.merge(&base);
+        assert_eq!(from_empty, base);
+        assert_eq!(zero.max_value(), Some(2));
+    }
+
+    #[test]
     fn quantiles_and_tails_are_exact() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         // pmf: P(0)=.5, P(1)=.3, P(4)=.2
         s.record_n(0, 50);
         s.record_n(1, 30);
         s.record_n(4, 20);
-        assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.quantile(0.6), 1);
-        assert_eq!(s.quantile(0.99), 4);
+        assert_eq!(s.quantile(0.5), Some(0));
+        assert_eq!(s.quantile(0.6), Some(1));
+        assert_eq!(s.quantile(0.99), Some(4));
         assert!((s.ccdf_at(1) - 0.5).abs() < 1e-12);
         assert!((s.ccdf_at(4) - 0.2).abs() < 1e-12);
         assert!((s.ccdf_at(5) - 0.0).abs() < 1e-12);
@@ -586,12 +641,65 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_counts_round_trips() {
-        let dense = [5u64, 0, 3, 0, 0, 2];
-        let s = DistSketch::from_dense_counts(&dense);
-        assert_eq!(s.count(), 10);
-        assert_eq!(s.pmf_points().len(), 3);
-        assert!((s.mean() - 1.6).abs() < 1e-12); // (0·5 + 2·3 + 5·2) / 10
+    fn quantiles() {
+        let h = pmf(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(h.quantile(0.1), Some(1));
+        assert_eq!(h.quantile(0.5), Some(5));
+        assert_eq!(h.quantile(1.0), Some(10));
+        assert_eq!(h.quantile(1.0), h.max_value());
+        // q=0 clamps to the first observation.
+        assert_eq!(h.quantile(0.0), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile level")]
+    fn quantile_out_of_range_panics() {
+        pmf(&[1]).quantile(1.5);
+    }
+
+    #[test]
+    fn cdf_is_monotone_and_reaches_one() {
+        let h = pmf(&[2, 5, 5, 9]);
+        let mut prev = 0.0;
+        for v in 0..12 {
+            let c = h.cdf_at(v);
+            assert!(c >= prev);
+            prev = c;
+        }
+        assert_eq!(h.cdf_at(9), 1.0);
+        assert_eq!(h.cdf_at(100), 1.0);
+        assert_eq!(h.cdf_at(u64::MAX), 1.0);
+    }
+
+    #[test]
+    fn ccdf_complements_cdf() {
+        let h = pmf(&[2, 5, 5, 9]);
+        assert_eq!(h.ccdf_at(0), 1.0);
+        assert_eq!(h.ccdf_at(2), 1.0);
+        assert_eq!(h.ccdf_at(3), 0.75);
+        assert_eq!(h.ccdf_at(6), 0.25);
+        assert_eq!(h.ccdf_at(10), 0.0);
+        for v in 0..12u64 {
+            let complement = if v == 0 { 1.0 } else { 1.0 - h.cdf_at(v - 1) };
+            assert!((h.ccdf_at(v) - complement).abs() < 1e-15, "v={v}");
+        }
+    }
+
+    #[test]
+    fn gapped_pmf_json_is_golden() {
+        // Dense counts [5, 0, 3, 0, 0, 2]: zero bins never reach the
+        // JSON, values ascend, moments are the exact integer ratios.
+        let mut s = DistSketch::new();
+        s.record_n(5, 2);
+        s.record_n(0, 5);
+        s.record_n(2, 3);
+        assert_eq!(
+            s.to_json(),
+            "{\"kind\": \"exact\", \"count\": 10, \"mean\": 1.6, \
+             \"variance\": 3.6399999999999997, \
+             \"quantiles\": {\"p50\": 0, \"p90\": 5, \"p99\": 5, \"p999\": 5}, \
+             \"values\": [0,2,5], \"counts\": [5,3,2]}"
+        );
     }
 
     #[test]
@@ -771,14 +879,14 @@ mod tests {
     #[test]
     fn sketch_set_merges_across_names() {
         let set = SketchSet::new();
-        let mut w1 = DistSketch::new_exact();
+        let mut w1 = DistSketch::new();
         w1.record_n(1, 4);
-        let mut w2 = DistSketch::new_exact();
+        let mut w2 = DistSketch::new();
         w2.record_n(2, 6);
         set.merge_sketch("net.wait.total", &w1);
         set.merge_sketch("net.wait.total", &w2);
         let merged = set.get("net.wait.total").expect("present");
-        assert_eq!(merged.count(), 10);
+        assert_eq!(merged.total(), 10);
         assert!((merged.mean() - 1.6).abs() < 1e-12);
         assert!(set.get("missing").is_none());
         let json = set.snapshot_json();
@@ -788,7 +896,7 @@ mod tests {
 
     #[test]
     fn sketch_json_contains_quantiles_and_pmf() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 9);
         s.record_n(3, 1);
         let json = s.to_json();

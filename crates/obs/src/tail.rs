@@ -17,20 +17,18 @@ use crate::sketch::{points_json, DistSketch};
 /// `{0, 10_000}` yields two points, not a dense `O(max)` vector; the
 /// ccdf is constant between support points, so nothing is lost.
 pub fn ccdf_points(sketch: &DistSketch) -> Vec<(u64, f64)> {
-    let total = sketch.count();
-    if total == 0 {
-        return Vec::new();
-    }
-    let pts = sketch.count_points();
-    let mut out = Vec::with_capacity(pts.len());
+    let total = sketch.total();
     // Count of observations >= the current support point; starts at the
     // full total (every observation is >= the smallest support value).
     let mut ge = total;
-    for &(v, c) in &pts {
-        out.push((v, ge as f64 / total as f64));
-        ge -= c;
-    }
-    out
+    sketch
+        .count_points()
+        .map(|(v, c)| {
+            let p = (v, ge as f64 / total as f64);
+            ge -= c;
+            p
+        })
+        .collect()
 }
 
 /// Least-squares fit of `log P(X >= t) = a + t·log r` over the tail
@@ -72,20 +70,9 @@ pub fn fit_geometric_tail(sketch: &DistSketch) -> Option<f64> {
 }
 
 /// Kolmogorov–Smirnov distance between the sketch's empirical CDF and
-/// a model CDF — [`ks_distance_counts`] over the sketch's support.
-/// `0.0` on an empty sketch.
-pub fn ks_distance(sketch: &DistSketch, model_cdf: impl Fn(f64) -> f64) -> f64 {
-    ks_distance_counts(sketch.count(), sketch.count_points(), model_cdf)
-}
-
-/// Kolmogorov–Smirnov distance between integer data — `(value, count)`
-/// pairs in ascending value order, `total` observations in all — and a
-/// model CDF, evaluated with the half-integer continuity correction
+/// a model CDF, evaluated with the half-integer continuity correction
 /// (`model_cdf(v ± 0.5)`) so discrete and continuous CDFs compare
-/// fairly. `0.0` when `total` is zero. The one KS body in the
-/// workspace: the sketch form above and the dense-histogram form in
-/// `banyan-stats` both call it, so they return bit-equal results on
-/// matching data.
+/// fairly. `0.0` on an empty sketch. The one KS body in the workspace.
 ///
 /// A message that waited `v` whole cycles corresponds, in a continuous
 /// approximation, to mass spread over `[v, v+1)`; evaluating the model
@@ -97,26 +84,17 @@ pub fn ks_distance(sketch: &DistSketch, model_cdf: impl Fn(f64) -> f64) -> f64 {
 /// side (as an earlier version did) misses deviations where the model
 /// CDF rises across gaps in the data's support and systematically
 /// underestimates drift. Values without mass need no candidates of
-/// their own (zero-count pairs are skipped): `F_emp` is constant across
-/// a gap and `F_model` monotone, so the deviation on a gap is bounded by
-/// the candidates at its endpoints.
-pub fn ks_distance_counts(
-    total: u64,
-    points: impl IntoIterator<Item = (u64, u64)>,
-    model_cdf: impl Fn(f64) -> f64,
-) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
+/// their own: `F_emp` is constant across a gap and `F_model` monotone,
+/// so the deviation on a gap is bounded by the candidates at its
+/// endpoints.
+pub fn ks_distance(sketch: &DistSketch, model_cdf: impl Fn(f64) -> f64) -> f64 {
+    let total = sketch.total() as f64;
     let mut acc = 0u64;
     let mut worst = 0.0f64;
-    for (v, c) in points {
-        if c == 0 {
-            continue;
-        }
-        let before = acc as f64 / total as f64; // F_emp(v⁻)
+    for (v, c) in sketch.count_points() {
+        let before = acc as f64 / total; // F_emp(v⁻)
         acc += c;
-        let after = acc as f64 / total as f64; // F_emp(v)
+        let after = acc as f64 / total; // F_emp(v)
         worst = worst.max((model_cdf(v as f64 - 0.5) - before).abs());
         worst = worst.max((model_cdf(v as f64 + 0.5) - after).abs());
     }
@@ -173,7 +151,7 @@ impl DriftReport {
     ) -> Self {
         DriftReport {
             name: name.to_string(),
-            count: sketch.count(),
+            count: sketch.total(),
             ks: ks_distance(sketch, model_cdf),
             observed_mean: sketch.mean(),
             analytic_mean,
@@ -239,7 +217,7 @@ mod tests {
 
     fn geometric_sketch(r: f64, n_per_level: u64, levels: u64) -> DistSketch {
         // counts proportional to r^j — an exactly geometric pmf.
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         for j in 0..levels {
             let c = (n_per_level as f64 * r.powi(j as i32)).round() as u64;
             if c > 0 {
@@ -251,7 +229,7 @@ mod tests {
 
     #[test]
     fn ccdf_points_sum_and_monotone() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 6);
         s.record_n(2, 3);
         s.record_n(3, 1);
@@ -270,13 +248,13 @@ mod tests {
 
     #[test]
     fn ccdf_points_stay_sparse_on_gapped_support() {
-        // A heavy-traffic-style sketch: two support points very far
-        // apart must not allocate a dense O(max) vector.
-        let mut s = DistSketch::new_exact();
+        // A heavy-traffic-style sketch: two support points far apart
+        // yield two ccdf points, not one per value in 0..=max.
+        let mut s = DistSketch::new();
         s.record_n(0, 1);
-        s.record_n(10_000_000, 1);
+        s.record_n(100_000, 1);
         let pts = ccdf_points(&s);
-        assert_eq!(pts, vec![(0, 1.0), (10_000_000, 0.5)]);
+        assert_eq!(pts, vec![(0, 1.0), (100_000, 0.5)]);
     }
 
     #[test]
@@ -295,7 +273,7 @@ mod tests {
         // neighbour's ccdf) into the least squares, flattening the
         // slope and biasing the rate upward.
         let rho: f64 = 0.25;
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         for j in 0..10u64 {
             let c = (1_000_000.0 * rho.powi(j as i32)).round() as u64;
             if c > 0 {
@@ -312,15 +290,15 @@ mod tests {
 
     #[test]
     fn fit_declines_on_tiny_support() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 10);
         assert!(fit_geometric_tail(&s).is_none());
-        assert!(fit_geometric_tail(&DistSketch::new_exact()).is_none());
+        assert!(fit_geometric_tail(&DistSketch::new()).is_none());
     }
 
     #[test]
     fn ks_zero_against_own_cdf() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 5);
         s.record_n(1, 3);
         s.record_n(2, 2);
@@ -346,7 +324,7 @@ mod tests {
         // the old one-sided statistic reported 0.05. The true KS lies
         // on the pre-jump side of the v=10 jump, where the model has
         // climbed to 0.95 but the empirical CDF is still 0.1.
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 1);
         s.record_n(10, 9);
         let model = |x: f64| (x / 10.0).clamp(0.0, 1.0);
@@ -359,18 +337,18 @@ mod tests {
 
     #[test]
     fn ks_detects_mean_shift() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 50);
         s.record_n(1, 50);
         // Model: all mass at 0.
         let ks = ks_distance(&s, |x| if x >= 0.0 { 1.0 } else { 0.0 });
         assert!((ks - 0.5).abs() < 1e-12);
-        assert_eq!(ks_distance(&DistSketch::new_exact(), |_| 0.0), 0.0);
+        assert_eq!(ks_distance(&DistSketch::new(), |_| 0.0), 0.0);
     }
 
     #[test]
     fn drift_report_serializes_with_null_rates() {
-        let mut s = DistSketch::new_exact();
+        let mut s = DistSketch::new();
         s.record_n(0, 10);
         let r = DriftReport::against("net.wait.total", &s, |_| 1.0, 0.0, None);
         let json = r.to_json();

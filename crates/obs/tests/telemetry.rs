@@ -75,7 +75,7 @@ fn worker_local_sketches_merge_losslessly_across_threads() {
         for w in 0..WORKERS {
             let tel = &tel;
             scope.spawn(move || {
-                let mut local = DistSketch::new_exact();
+                let mut local = DistSketch::new();
                 for i in 0..PER_WORKER {
                     // Worker-dependent values so merge order could matter
                     // if the fold were not commutative.
@@ -86,14 +86,14 @@ fn worker_local_sketches_merge_losslessly_across_threads() {
         }
     });
     // Single-threaded reference over the same multiset of values.
-    let mut reference = DistSketch::new_exact();
+    let mut reference = DistSketch::new();
     for w in 0..WORKERS {
         for i in 0..PER_WORKER {
             reference.record((w * 31 + i) % 97);
         }
     }
     let merged = tel.sketches().get("net.wait.total").expect("merged sketch");
-    assert_eq!(merged.count(), WORKERS * PER_WORKER);
+    assert_eq!(merged.total(), WORKERS * PER_WORKER);
     assert_eq!(merged.pmf_points(), reference.pmf_points());
     assert_eq!(merged.mean().to_bits(), reference.mean().to_bits());
     assert_eq!(merged.variance().to_bits(), reference.variance().to_bits());

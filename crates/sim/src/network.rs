@@ -44,10 +44,10 @@ use crate::topology::OmegaTopology;
 use crate::traffic::Workload;
 use banyan_obs::msgtrace::RepTrace;
 use banyan_obs::registry::POW2_BOUNDS;
-use banyan_obs::{Gauge, Histogram, Telemetry};
+use banyan_obs::{DistSketch, Gauge, Histogram, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{Rng, SeedableRng};
-use banyan_stats::{CorrelationMatrix, IntHistogram, OnlineStats};
+use banyan_stats::{CorrelationMatrix, OnlineStats};
 use std::sync::Arc;
 
 /// Hard cap on stages (fixed-size per-message wait record).
@@ -156,12 +156,12 @@ pub struct NetworkStats {
     pub stage_waits: Vec<OnlineStats>,
     /// Total (summed over stages) waiting time per message.
     pub total_wait: OnlineStats,
-    /// Histogram of total waiting times (the Figs. 3–8 raw data).
-    pub total_hist: IntHistogram,
+    /// Exact pmf of total waiting times (the Figs. 3–8 raw data).
+    pub total_hist: DistSketch,
     /// Cross-stage waiting-time correlations (Table VI), if collected.
     pub correlations: Option<CorrelationMatrix>,
-    /// Per-stage waiting-time histograms, if collected.
-    pub stage_hists: Option<Vec<IntHistogram>>,
+    /// Per-stage exact waiting-time pmfs, if collected.
+    pub stage_hists: Option<Vec<DistSketch>>,
     /// Tracked messages injected.
     pub injected: u64,
     /// Tracked messages delivered (equal to `injected` after a full run).
@@ -192,10 +192,9 @@ impl NetworkStats {
         NetworkStats {
             stage_waits: vec![OnlineStats::new(); stages as usize],
             total_wait: OnlineStats::new(),
-            total_hist: IntHistogram::new(),
+            total_hist: DistSketch::new(),
             correlations: collect_correlations.then(|| CorrelationMatrix::new(stages as usize)),
-            stage_hists: collect_stage_histograms
-                .then(|| vec![IntHistogram::new(); stages as usize]),
+            stage_hists: collect_stage_histograms.then(|| vec![DistSketch::new(); stages as usize]),
             injected: 0,
             delivered: 0,
             injected_total: 0,
@@ -814,7 +813,7 @@ impl NetworkSim {
         // it always had, and the dynamics (RNG, queues) are untouched,
         // so statistics stay bit-identical.
         if OBS && tel.metrics_enabled() && self.stats.stage_hists.is_none() {
-            self.stats.stage_hists = Some(vec![IntHistogram::new(); self.cfg.stages as usize]);
+            self.stats.stage_hists = Some(vec![DistSketch::new(); self.cfg.stages as usize]);
         }
         let mut obs = if OBS {
             Some(ObsState::new(tel, self.cfg.stages as usize))
@@ -1019,16 +1018,10 @@ impl<'t> ObsState<'t> {
         let sketches = self.tel.sketches();
         if let Some(hists) = &st.stage_hists {
             for (i, h) in hists.iter().enumerate() {
-                sketches.merge_sketch(
-                    &format!("net.wait.stage{:02}", i + 1),
-                    &banyan_obs::DistSketch::from_dense_counts(h.counts()),
-                );
+                sketches.merge_sketch(&format!("net.wait.stage{:02}", i + 1), h);
             }
         }
-        sketches.merge_sketch(
-            "net.wait.total",
-            &banyan_obs::DistSketch::from_dense_counts(st.total_hist.counts()),
-        );
+        sketches.merge_sketch("net.wait.total", &st.total_hist);
     }
 }
 
@@ -1162,7 +1155,7 @@ mod tests {
                 .get(&name)
                 .unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(
-                sk.count(),
+                sk.total(),
                 stats.delivered,
                 "{name} pmf must sum to delivered"
             );
@@ -1181,7 +1174,7 @@ mod tests {
             );
         }
         let total = sketches.get("net.wait.total").expect("total sketch");
-        assert_eq!(total.count(), stats.delivered);
+        assert_eq!(total.total(), stats.delivered);
         assert!((total.mean() - stats.total_wait.mean()).abs() < 1e-9);
         // The pmf itself is exact: probabilities sum to one.
         let mass: f64 = total.pmf_points().iter().map(|&(_, p)| p).sum();

@@ -13,10 +13,10 @@
 //! simulator does not exercise at a single port.
 
 use crate::traffic::ServiceDist;
-use banyan_obs::Telemetry;
-use banyan_stats::{CoMoment, IntHistogram, OnlineStats};
+use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{Rng, SeedableRng};
+use banyan_stats::{CoMoment, OnlineStats};
 
 /// Per-cycle batch-size (message-count) distribution at the queue.
 #[derive(Clone, Debug)]
@@ -139,14 +139,14 @@ impl QueueConfig {
 pub struct QueueStats {
     /// Waiting-time moments over measured messages.
     pub wait: OnlineStats,
-    /// Waiting-time histogram.
-    pub hist: IntHistogram,
+    /// Exact waiting-time pmf.
+    pub hist: DistSketch,
     /// End-of-cycle unfinished work (the `s` of Theorem 1's proof; its
     /// transform is `Ψ(z)`).
     pub backlog: OnlineStats,
-    /// Histogram of the end-of-cycle unfinished work — the empirical
+    /// Exact pmf of the end-of-cycle unfinished work — the empirical
     /// counterpart of the inverted `Ψ(z)` pmf.
-    pub backlog_hist: IntHistogram,
+    pub backlog_hist: DistSketch,
     /// Fraction of measured cycles ending with zero backlog,
     /// `P(s = 0) = Ψ(0)`.
     pub idle_fraction: f64,
@@ -184,9 +184,9 @@ struct LindleyState {
     /// Unfinished work at end of previous cycle.
     s: u64,
     wait: OnlineStats,
-    hist: IntHistogram,
+    hist: DistSketch,
     backlog_stats: OnlineStats,
-    backlog_hist: IntHistogram,
+    backlog_hist: DistSketch,
     busy_cycles: u64,
     idle_ends: u64,
     autocorr: [CoMoment; 4],
@@ -201,9 +201,9 @@ impl LindleyState {
             rng: SmallRng::seed_from_u64(cfg.seed),
             s: 0,
             wait: OnlineStats::new(),
-            hist: IntHistogram::new(),
+            hist: DistSketch::new(),
             backlog_stats: OnlineStats::new(),
-            backlog_hist: IntHistogram::new(),
+            backlog_hist: DistSketch::new(),
             busy_cycles: 0,
             idle_ends: 0,
             autocorr: [CoMoment::new(), CoMoment::new(), CoMoment::new(), CoMoment::new()],
@@ -382,10 +382,7 @@ pub fn run_queue_instrumented(cfg: &QueueConfig, tel: &Telemetry) -> QueueStats 
         reg.counter("queue.runs").inc();
         // Fold the exact waiting-time pmf (already collected by the
         // Lindley loop — zero extra hot-path work) into the sketch set.
-        tel.sketches().merge_sketch(
-            "queue.wait",
-            &banyan_obs::DistSketch::from_dense_counts(stats.hist.counts()),
-        );
+        tel.sketches().merge_sketch("queue.wait", &stats.hist);
     }
     stats
 }
@@ -590,7 +587,7 @@ mod tests {
         assert_eq!(tel.progress().snapshot().cycles, 52_000);
         // The exact waiting-time pmf is mirrored into the sketch set.
         let sk = tel.sketches().get("queue.wait").expect("queue.wait sketch");
-        assert_eq!(sk.count(), base.wait.count());
+        assert_eq!(sk.total(), base.wait.count());
         assert!((sk.mean() - base.wait.mean()).abs() < 1e-9);
         assert!((sk.variance() - base.wait.variance()).abs() < 1e-9);
         // A disabled sink takes the plain path and records nothing.

@@ -586,14 +586,14 @@ mod tests {
             for name in ["net.wait.stage01", "net.wait.stage03", "net.wait.total"] {
                 let a = tel1.sketches().get(name).expect(name);
                 let b = tel.sketches().get(name).expect(name);
-                assert_eq!(a.count(), b.count(), "{name} threads = {threads}");
+                assert_eq!(a.total(), b.total(), "{name} threads = {threads}");
                 assert_eq!(a.pmf_points(), b.pmf_points(), "{name} threads = {threads}");
                 assert_eq!(a.mean().to_bits(), b.mean().to_bits());
                 assert_eq!(a.variance().to_bits(), b.variance().to_bits());
             }
             // The total sketch holds every measured delivery's wait.
             let total = tel.sketches().get("net.wait.total").unwrap();
-            assert_eq!(total.count(), inst.delivered);
+            assert_eq!(total.total(), inst.delivered);
         }
     }
 

@@ -42,10 +42,9 @@ use crate::network::{
     Routing, HEARTBEAT_CHECK_CYCLES,
 };
 use banyan_obs::msgtrace::RepTrace;
-use banyan_obs::Telemetry;
+use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{RngCore, SeedableRng};
-use banyan_stats::IntHistogram;
 
 /// Beyond this many ports the `dest → packed digits` table (8 bytes per
 /// port) is not worth its memory. Same spirit as
@@ -907,7 +906,7 @@ impl StageSweep {
         // Same auto-enable as the scalar drive: with metrics on, capture
         // per-stage pmfs for the distribution sketches.
         if OBS && tel.metrics_enabled() && stats.stage_hists.is_none() {
-            stats.stage_hists = Some(vec![IntHistogram::new(); stages]);
+            stats.stage_hists = Some(vec![DistSketch::new(); stages]);
         }
         let mut obs = OBS.then(|| ObsState::new(tel, stages));
         let collect_occ = obs.as_ref().is_some_and(|o| o.metrics);
@@ -1256,7 +1255,7 @@ mod tests {
         for name in ["net.wait.stage01", "net.wait.stage03", "net.wait.total"] {
             let sa = tel_sw.sketches().get(name).expect(name);
             let sb = tel_sc.sketches().get(name).expect(name);
-            assert_eq!(sa.count(), sb.count(), "{name} count");
+            assert_eq!(sa.total(), sb.total(), "{name} count");
             assert_eq!(sa.pmf_points(), sb.pmf_points(), "{name} pmf");
         }
         assert_eq!(

@@ -467,7 +467,6 @@ fn msgtrace_sample_is_submultiset_of_full_pmf() {
             .get("net.wait.total")
             .expect("total-wait sketch present")
             .count_points()
-            .into_iter()
             .collect();
         for (&w, &c) in &sampled {
             assert!(

@@ -1,50 +1,28 @@
-//! Distances between an empirical integer histogram and a model
-//! distribution.
+//! Distances between an empirical integer pmf and a model distribution.
 //!
 //! The paper judges the gamma approximation of Figs. 3–8 by eye ("an
 //! incredibly good match … especially at the tails"). We quantify that
-//! claim: Kolmogorov–Smirnov distance against the continuous gamma CDF,
-//! total-variation distance against binned probabilities, and relative
-//! tail-probability error.
+//! claim: total-variation distance against binned probabilities and the
+//! relative tail-probability error here, and the Kolmogorov–Smirnov
+//! distance against the continuous gamma CDF in
+//! [`banyan_obs::tail::ks_distance`]. All three read the same exact pmf,
+//! [`DistSketch`].
 
-use crate::histogram::IntHistogram;
-use banyan_obs::tail::ks_distance_counts;
-
-/// Continuity-corrected Kolmogorov–Smirnov statistic between integer data
-/// and a continuous model:
-/// `max_v max(|F_emp(v) − F(v + ½)|, |F_emp(v⁻) − F(v − ½)|)`
-/// over the values `v` with observed mass. This is the quantity we report
-/// when grading the gamma approximation of Figs. 3–8.
-///
-/// The body is [`banyan_obs::tail::ks_distance_counts`] (which documents
-/// the two-sided candidates), shared with the sketch form
-/// `banyan_obs::tail::ks_distance`, so both return bit-equal results on
-/// matching data.
-pub fn ks_distance<F: Fn(f64) -> f64>(hist: &IntHistogram, model_cdf: F) -> f64 {
-    let points = hist
-        .counts()
-        .iter()
-        .enumerate()
-        .map(|(v, &c)| (v as u64, c));
-    ks_distance_counts(hist.total(), points, model_cdf)
-}
+use banyan_obs::DistSketch;
 
 /// Total-variation distance `½ Σ_v |p_emp(v) − p_model(v)|`, where the
 /// model bin probability comes from `bin_prob(v)`; the model's mass beyond
-/// the histogram's support is added as unmatched mass.
-pub fn total_variation<F: Fn(u64) -> f64>(hist: &IntHistogram, model_bin_prob: F) -> f64 {
-    let total = hist.total();
-    if total == 0 {
+/// the pmf's support is added as unmatched mass.
+pub fn total_variation<F: Fn(u64) -> f64>(pmf: &DistSketch, model_bin_prob: F) -> f64 {
+    let Some(last) = pmf.max_value() else {
         return 0.0;
-    }
-    let last = hist.max_value().unwrap();
+    };
     let mut sum = 0.0;
     let mut model_mass = 0.0;
     for v in 0..=last {
-        let pe = hist.count(v) as f64 / total as f64;
         let pm = model_bin_prob(v);
         model_mass += pm;
-        sum += (pe - pm).abs();
+        sum += (pmf.pmf_at(v) - pm).abs();
     }
     // Model mass beyond the observed support is pure discrepancy.
     sum += (1.0 - model_mass).max(0.0);
@@ -52,17 +30,19 @@ pub fn total_variation<F: Fn(u64) -> f64>(hist: &IntHistogram, model_bin_prob: F
 }
 
 /// Relative error of the model tail probability at the empirical `q`-th
-/// quantile: `|P_model(X > x_q) − P_emp(X > x_q)| / P_emp(X > x_q)`.
+/// quantile: `|P_model(X > x_q) − P_emp(X > x_q)| / P_emp(X > x_q)`. The
+/// empirical tail is the exact count ratio `ccdf_at(x_q + 1)`, free of
+/// the cancellation error in `1 − cdf_at(x_q)`.
 ///
-/// Returns `None` if the histogram is empty or the empirical tail at that
+/// Returns `None` if the pmf is empty or the empirical tail at that
 /// point has no mass.
 pub fn tail_relative_error<F: Fn(f64) -> f64>(
-    hist: &IntHistogram,
+    pmf: &DistSketch,
     model_sf: F,
     q: f64,
 ) -> Option<f64> {
-    let xq = hist.quantile(q)?;
-    let emp_tail = 1.0 - hist.cdf_at(xq);
+    let xq = pmf.quantile(q)?;
+    let emp_tail = pmf.ccdf_at(xq + 1);
     if emp_tail <= 0.0 {
         return None;
     }
@@ -74,10 +54,11 @@ pub fn tail_relative_error<F: Fn(f64) -> f64>(
 mod tests {
     use super::*;
     use crate::gamma::Gamma;
+    use banyan_obs::tail::ks_distance;
 
-    fn geometric_hist(r: f64, n: u64) -> IntHistogram {
+    fn geometric_hist(r: f64, n: u64) -> DistSketch {
         // Deterministic "perfect sample": counts proportional to the pmf.
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         let mut remaining = n;
         let mut v = 0u64;
         while remaining > 0 && v < 200 {
@@ -97,7 +78,7 @@ mod tests {
 
     #[test]
     fn ks_zero_for_matching_step_model() {
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         h.record_n(0, 50);
         h.record_n(1, 50);
         // Model: continuous CDF that matches the empirical one at bin edges.
@@ -115,7 +96,7 @@ mod tests {
 
     #[test]
     fn ks_detects_shift() {
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         h.record_n(0, 100);
         // Model mass entirely above 5 → KS = 1.
         let model = |x: f64| if x < 5.0 { 0.0 } else { 1.0 };
@@ -129,7 +110,7 @@ mod tests {
         // and 0 (what the old one-sided statistic reported), but just
         // before the v=10 jump the model has climbed to 0.95 while the
         // empirical CDF is still 0.1.
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         h.record_n(0, 1);
         h.record_n(10, 9);
         let model = |x: f64| (x / 10.0).clamp(0.0, 1.0);
@@ -139,21 +120,20 @@ mod tests {
 
     #[test]
     fn ks_empty_hist_is_zero() {
-        let h = IntHistogram::new();
+        let h = DistSketch::new();
         assert_eq!(ks_distance(&h, |_| 0.5), 0.0);
     }
 
     #[test]
     fn tv_zero_for_identical_distributions() {
         let h = geometric_hist(0.5, 1 << 20);
-        let total = h.total() as f64;
-        let tv = total_variation(&h, |v| h.count(v) as f64 / total);
+        let tv = total_variation(&h, |v| h.pmf_at(v));
         assert!(tv < 1e-12);
     }
 
     #[test]
     fn tv_one_for_disjoint_support() {
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         h.record_n(0, 10);
         let tv = total_variation(&h, |v| if v == 5 { 1.0 } else { 0.0 });
         assert!((tv - 1.0).abs() < 1e-12);
@@ -164,7 +144,7 @@ mod tests {
         // Build a histogram from binned Gamma(4, 2) probabilities, then
         // check the moment-matched gamma has a small KS distance.
         let g = Gamma::new(4.0, 2.0);
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         let n = 1u64 << 24;
         for v in 0..200 {
             // Centered bins [v−½, v+½): integer v carries the continuous
@@ -197,10 +177,10 @@ mod tests {
 
     #[test]
     fn tail_relative_error_none_when_no_tail() {
-        let mut h = IntHistogram::new();
+        let mut h = DistSketch::new();
         h.record_n(3, 10);
         assert!(tail_relative_error(&h, |_| 0.5, 0.5).is_none());
-        let empty = IntHistogram::new();
+        let empty = DistSketch::new();
         assert!(tail_relative_error(&empty, |_| 0.5, 0.5).is_none());
     }
 }

@@ -9,12 +9,13 @@
 //!   store samples,
 //! * **cross-stage correlations** (Table VI) — [`online::CoMoment`] and
 //!   [`correlation::CorrelationMatrix`],
-//! * **histograms** of total waiting time (Figs. 3–8) —
-//!   [`histogram::IntHistogram`],
+//! * **distances** between a waiting-time pmf (Figs. 3–8, held in
+//!   `banyan_obs::DistSketch`, the one integer pmf type) and a model —
+//!   [`distance`],
 //! * the **gamma approximation** of the total waiting time (§V) —
 //!   [`gamma::Gamma`], fitted by moment matching,
-//! * confidence intervals and distribution distances to quantify
-//!   simulation/prediction agreement — [`ci`], [`distance`].
+//! * confidence intervals to quantify simulation/prediction agreement —
+//!   [`ci`].
 //!
 //! Everything is streaming and mergeable so simulations can run sharded
 //! across threads and be combined.
@@ -26,12 +27,10 @@ pub mod ci;
 pub mod correlation;
 pub mod distance;
 pub mod gamma;
-pub mod histogram;
 pub mod online;
 pub mod sections;
 
 pub use correlation::CorrelationMatrix;
 pub use gamma::Gamma;
-pub use histogram::IntHistogram;
 pub use online::{CoMoment, OnlineStats};
 pub use sections::Sectioned;

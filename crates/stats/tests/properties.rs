@@ -1,9 +1,10 @@
 //! Randomized property tests for the statistics substrate, driven by
 //! the seeded in-repo harness (`banyan_prng::check`).
 
+use banyan_obs::DistSketch;
 use banyan_prng::check::check;
 use banyan_stats::ci::normal_quantile;
-use banyan_stats::{CoMoment, Gamma, IntHistogram, OnlineStats};
+use banyan_stats::{CoMoment, Gamma, OnlineStats};
 
 const CASES: u32 = 256;
 
@@ -13,6 +14,14 @@ fn stats_of(xs: &[f64]) -> OnlineStats {
         s.push(x);
     }
     s
+}
+
+fn pmf_of(values: &[u64]) -> DistSketch {
+    let mut h = DistSketch::new();
+    for &v in values {
+        h.record(v);
+    }
+    h
 }
 
 #[test]
@@ -80,15 +89,35 @@ fn correlation_scale_invariant() {
 fn histogram_pmf_is_distribution() {
     check(CASES, |g| {
         let values = g.vec_with(1..500, |g| g.u64(0..200));
-        let mut h = IntHistogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let pmf = h.pmf();
-        let total: f64 = pmf.iter().sum();
+        let h = pmf_of(&values);
+        let pmf = h.pmf_points();
+        let total: f64 = pmf.iter().map(|&(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(pmf.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        assert!(pmf.iter().all(|&(_, p)| p > 0.0 && p <= 1.0));
+        assert!(pmf.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(h.total(), values.len() as u64);
+    });
+}
+
+#[test]
+fn histogram_merge_equals_union() {
+    check(CASES, |g| {
+        let xs = g.vec_with(0..200, |g| g.u64(0..64));
+        let ys = g.vec_with(0..200, |g| g.u64(0..64));
+        let mut all = xs.clone();
+        all.extend_from_slice(&ys);
+        let mut xy = pmf_of(&xs);
+        xy.merge(&pmf_of(&ys));
+        let mut yx = pmf_of(&ys);
+        yx.merge(&pmf_of(&xs));
+        assert_eq!(xy, pmf_of(&all));
+        assert_eq!(yx, pmf_of(&all));
+        // Batched recording is the same multiset.
+        let mut batched = DistSketch::new();
+        for (v, c) in pmf_of(&all).count_points() {
+            batched.record_n(v, c);
+        }
+        assert_eq!(batched, xy);
     });
 }
 
@@ -96,10 +125,7 @@ fn histogram_pmf_is_distribution() {
 fn histogram_quantiles_monotone() {
     check(CASES, |g| {
         let values = g.vec_with(1..300, |g| g.u64(0..100));
-        let mut h = IntHistogram::new();
-        for &v in &values {
-            h.record(v);
-        }
+        let h = pmf_of(&values);
         let mut prev = 0;
         for i in 1..=10 {
             let q = h.quantile(i as f64 / 10.0).unwrap();
@@ -114,10 +140,7 @@ fn histogram_quantiles_monotone() {
 fn histogram_mean_between_min_and_max() {
     check(CASES, |g| {
         let values = g.vec_with(1..200, |g| g.u64(0..1000));
-        let mut h = IntHistogram::new();
-        for &v in &values {
-            h.record(v);
-        }
+        let h = pmf_of(&values);
         let lo = *values.iter().min().unwrap() as f64;
         let hi = *values.iter().max().unwrap() as f64;
         assert!(h.mean() >= lo - 1e-9 && h.mean() <= hi + 1e-9);

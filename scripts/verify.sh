@@ -305,6 +305,12 @@ if [ "$QUICK" -eq 1 ]; then
     # banyan-bench's lib tests exercise real timed benchmark runs
     # (calibration loops), far over the quick budget — full runs cover it.
     timed "unit tests" cargo test --workspace --exclude banyan-bench -q --offline --lib --bins
+    # The line above includes banyan-obs's unit tests: the shared pmf
+    # type (`sketch::tests`) and the msgtrace parser's refusals of
+    # truncating or wrapping input. Also cheap: the pmf property suite
+    # and manifest_check's sketch validator.
+    timed "pmf properties" cargo test -q --offline -p banyan-stats --test properties histogram_
+    timed "manifest_check tests" cargo test -q --offline -p banyan-bench --bin manifest_check
     # The sweep-vs-scalar engine equivalence property test is cheap and
     # guards the simulator's core bit-identity contract, so it runs even
     # in the quick tier (integration suites are otherwise skipped).

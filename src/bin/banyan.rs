@@ -216,10 +216,9 @@ fn drift_reports(
         let Some(sk) = tel.sketches().get(&name) else {
             continue;
         };
-        if sk.count() == 0 {
+        let Some(max) = sk.max_value().map(|v| v as usize) else {
             continue;
-        }
-        let max = sk.pmf_points().last().map_or(0, |&(v, _)| v) as usize;
+        };
         let report = if i == 1 {
             // Exact Theorem 1 CDF, tabulated once over the support.
             let table = fs.wait_cdf_table(max + 2);
@@ -241,7 +240,7 @@ fn drift_reports(
         out.push(report);
     }
     if let Some(sk) = tel.sketches().get("net.wait.total") {
-        if sk.count() > 0 {
+        if sk.total() > 0 {
             let t = TotalWaiting::new(k, n, p, *m);
             if let Some(g) = t.gamma() {
                 out.push(DriftReport::against(
@@ -535,7 +534,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
                     format!(
                         "{} {}",
                         banyan_repro::obs::sketch::quantile_label(level),
-                        sk.quantile(level)
+                        sk.quantile(level).unwrap_or(0)
                     )
                 })
                 .collect();
@@ -563,6 +562,13 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Largest total wait, in cycles, `banyan trace` accepts from a file.
+/// Its pmfs are dense, one bin per cycle, so a single hostile record
+/// could otherwise demand a table of billions of bins; 2^24 cycles caps
+/// each table at 128 MiB. Every stage wait is at most its record's
+/// total, so the bound covers the per-stage tables too.
+const MAX_TRACE_WAIT: u64 = 1 << 24;
+
 /// `banyan trace` — inspect a `banyan-obs/msgtrace/v1` file written by
 /// `banyan simulate --msg-trace`: validate it, print per-stage
 /// observed waiting moments rebuilt from the sampled records, compare
@@ -580,6 +586,14 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read --file {path}: {e}"))?;
     let parsed = msgtrace::parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     let records = &parsed.records;
+    if let Some(r) = records.iter().find(|r| r.total_wait() > MAX_TRACE_WAIT) {
+        return Err(format!(
+            "{path}: rep {} msg {}: total wait {} exceeds the {MAX_TRACE_WAIT}-cycle limit",
+            r.rep,
+            r.ord,
+            r.total_wait()
+        ));
+    }
     let stages_desc = parsed
         .stages
         .map_or("variable".to_string(), |s| s.to_string());
@@ -612,8 +626,8 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     // traces have per-record hop counts; stage j covers the records
     // long enough to reach it.
     let max_hops = records.iter().map(|r| r.waits.len()).max().unwrap_or(0);
-    let mut stage_sk: Vec<DistSketch> = (0..max_hops).map(|_| DistSketch::new_exact()).collect();
-    let mut total_sk = DistSketch::new_exact();
+    let mut stage_sk = vec![DistSketch::new(); max_hops];
+    let mut total_sk = DistSketch::new();
     for r in records {
         for (j, &w) in r.waits.iter().enumerate() {
             stage_sk[j].record(u64::from(w));
@@ -646,18 +660,18 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
             println!(
                 "  stage {:>2}: n = {:>7}  E(w) = {:.4}  Var(w) = {:.4}  p99 = {}",
                 j + 1,
-                sk.count(),
+                sk.total(),
                 sk.mean(),
                 sk.variance(),
-                sk.quantile(0.99)
+                sk.quantile(0.99).unwrap_or(0)
             );
         }
         println!(
             "  total   : n = {:>7}  E(w) = {:.4}  Var(w) = {:.4}  p99 = {}",
-            total_sk.count(),
+            total_sk.total(),
             total_sk.mean(),
             total_sk.variance(),
-            total_sk.quantile(0.99)
+            total_sk.quantile(0.99).unwrap_or(0)
         );
     } else {
         println!("observed vs analytic (sampled records only):");
@@ -781,7 +795,7 @@ fn cmd_flow(flags: &Flags) -> Result<(), String> {
         for (f, sk) in report.flows.iter().enumerate() {
             let name = format!("flow.wait.{f:03}");
             tel.sketches().merge_sketch(&name, sk);
-            if sk.count() == 0 {
+            if sk.total() == 0 {
                 continue;
             }
             let table = an.wait_cdf_table(f)?;

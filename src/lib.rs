@@ -15,7 +15,7 @@
 //! * [`banyan_flow`] (re-exported as `flow`) — the generalized feed-forward flow engine:
 //!   per-flow end-to-end delay in arbitrary routed DAGs (meshes,
 //!   fat-trees, butterflies) under Kleinrock's independence assumption.
-//! * [`banyan_stats`] (re-exported as `stats`) — streaming statistics, histograms, the
+//! * [`banyan_stats`] (re-exported as `stats`) — streaming statistics, the
 //!   gamma distribution, distribution distances.
 //! * [`banyan_numerics`] (re-exported as `numerics`) — FFT, special functions, root
 //!   finding.
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use banyan_flow::{
         butterfly, fat_tree, mesh, omega, simulate_flows, FlowAnalysis, FlowGraph, FlowSimConfig,
     };
-    pub use banyan_obs::{Manifest, Telemetry, TelemetryConfig};
+    pub use banyan_obs::{DistSketch, Manifest, Telemetry, TelemetryConfig};
     pub use banyan_sim::input_queued::{run_input_queued, InputQueuedConfig};
     pub use banyan_sim::network::{
         run_network, run_network_instrumented, NetworkConfig, NetworkStats, Routing,
@@ -60,7 +60,7 @@ pub mod prelude {
         run_queue_replicated_instrumented,
     };
     pub use banyan_sim::traffic::{ServiceDist, Workload};
-    pub use banyan_stats::{Gamma, IntHistogram, OnlineStats, Sectioned};
+    pub use banyan_stats::{Gamma, OnlineStats, Sectioned};
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@ use banyan_core::total_delay::{
 use banyan_core::{FirstStage, GeometricService, UniformBernoulli};
 use banyan_obs::json::JsonObject;
 use banyan_obs::tail::DriftReport;
-use banyan_obs::{DistSketch, Telemetry, TelemetryConfig};
+use banyan_obs::DistSketch;
 use banyan_sim::network::NetworkConfig;
-use banyan_sim::runner::run_network_replicated_instrumented;
+use banyan_sim::runner::run_network_replicated;
 use banyan_sim::traffic::{ServiceDist, Workload};
 
 /// Quantile levels every answer reports, matching the observability
@@ -198,10 +198,25 @@ pub struct SimOutcome {
     pub settings: SimSettings,
 }
 
-/// Runs the replicated simulator for `q` into a throwaway telemetry
-/// sink (the daemon's own registry only sees serve-side metrics, never
-/// per-query `net.*` series, which would mix configurations).
-pub fn run_sim(q: &Query, settings: SimSettings) -> Result<SimOutcome, String> {
+/// Runs the replicated simulator for `q` without telemetry (the
+/// daemon's own registry only sees serve-side metrics, never per-query
+/// `net.*` series, which would mix configurations); the waiting-time
+/// pmf is the run's own `total_hist`.
+pub fn run_sim(q: &Query, settings: SimSettings) -> SimOutcome {
+    let stats = run_network_replicated(&sim_config(q, settings), settings.reps, 1);
+    let wait_q = LEVELS.map(|level| stats.total_hist.quantile(level).unwrap_or(0));
+    SimOutcome {
+        mean: stats.total_wait.mean(),
+        var: stats.total_wait.variance(),
+        wait_q,
+        delivered: stats.delivered,
+        sketch: stats.total_hist,
+        settings,
+    }
+}
+
+/// The network configuration [`run_sim`] simulates for `q`.
+fn sim_config(q: &Query, settings: SimSettings) -> NetworkConfig {
     let workload = Workload {
         p: q.p,
         q: q.q,
@@ -211,43 +226,22 @@ pub fn run_sim(q: &Query, settings: SimSettings) -> Result<SimOutcome, String> {
     cfg.measure_cycles = settings.cycles;
     cfg.warmup_cycles = (settings.cycles / 10).max(200);
     cfg.seed = settings.seed;
-    let tel = Telemetry::new(TelemetryConfig::on());
-    let stats = run_network_replicated_instrumented(&cfg, settings.reps, 1, &tel);
-    let sketch = tel
-        .sketches()
-        .get("net.wait.total")
-        .ok_or_else(|| "simulation produced no waiting-time sketch".to_string())?;
-    let mut wait_q = [0u64; 4];
-    for (slot, level) in wait_q.iter_mut().zip(LEVELS) {
-        *slot = sketch.quantile(level);
-    }
-    Ok(SimOutcome {
-        mean: stats.total_wait.mean(),
-        var: stats.total_wait.variance(),
-        wait_q,
-        delivered: stats.delivered,
-        sketch,
-        settings,
-    })
+    cfg
 }
 
 /// Probes the drift gauge for an analytic model: a small simulation of
 /// the same configuration, then the two-sided KS distance between the
 /// observed waiting-time sketch and the model CDF — the same statistic
 /// the `net.drift.ks_ppm.*` gauges report.
-pub fn probe_drift(
-    q: &Query,
-    model: &AnalyticModel,
-    settings: SimSettings,
-) -> Result<DriftReport, String> {
-    let outcome = run_sim(q, settings)?;
-    Ok(DriftReport::against(
+pub fn probe_drift(q: &Query, model: &AnalyticModel, settings: SimSettings) -> DriftReport {
+    let outcome = run_sim(q, settings);
+    DriftReport::against(
         "net.wait.total",
         &outcome.sketch,
         |x| model.wait_cdf(x),
         model.mean_wait(),
         None,
-    ))
+    )
 }
 
 /// Renders the analytic answer body. Every float goes through
@@ -457,14 +451,37 @@ mod tests {
                 reps: 2,
                 seed: 7,
             },
-        )
-        .unwrap();
+        );
         assert!(outcome.delivered > 0);
         assert!(outcome.mean >= 0.0);
         assert!(outcome.wait_q[0] <= outcome.wait_q[3]);
         let body = sim_body(&query, &outcome, None);
         assert!(body.contains("\"source\": \"simulation\""), "{body}");
         assert!(body.contains("\"delivered\""), "{body}");
+    }
+
+    #[test]
+    fn sim_outcome_matches_the_instrumented_wait_sketch() {
+        // Telemetry never changes the statistics, so the plain run's
+        // own pmf is the `net.wait.total` sketch an instrumented run of
+        // the same configuration exports.
+        use banyan_obs::{Telemetry, TelemetryConfig};
+        use banyan_sim::runner::run_network_replicated_instrumented;
+        let query = q(r#"{"k":2,"stages":4,"p":0.6,"mode":"simulate"}"#);
+        let settings = SimSettings {
+            cycles: 1_500,
+            reps: 3,
+            seed: 5,
+        };
+        let outcome = run_sim(&query, settings);
+        let tel = Telemetry::new(TelemetryConfig::on());
+        run_network_replicated_instrumented(&sim_config(&query, settings), settings.reps, 1, &tel);
+        let sketch = tel.sketches().get("net.wait.total").expect("total sketch");
+        assert_eq!(outcome.sketch, sketch);
+        for (&got, level) in outcome.wait_q.iter().zip(LEVELS) {
+            assert_eq!(Some(got), sketch.quantile(level), "level {level}");
+        }
+        assert_eq!(outcome.delivered, sketch.total());
     }
 
     #[test]
@@ -479,8 +496,7 @@ mod tests {
                 reps: 2,
                 seed: 11,
             },
-        )
-        .unwrap();
+        );
         // PR 4 pinned KS < 0.05 for this family at experiment scale;
         // the small probe gets a loose bound.
         assert!(report.ks < 0.15, "ks = {}", report.ks);

@@ -596,9 +596,7 @@ pub fn drift_tick(state: &ServerState) {
         let Some(model) = AnalyticModel::for_query(q) else {
             continue;
         };
-        let Ok(report) = probe_drift(q, &model, settings) else {
-            continue;
-        };
+        let report = probe_drift(q, &model, settings);
         reg.counter("serve.drift.probes_total").inc();
         probed = true;
         worst = worst.max(report.ks_ppm());
@@ -826,11 +824,11 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
                 source: "analytic",
             })
         }
-        Mode::Simulate => simulate(state, query, sim_settings, None),
+        Mode::Simulate => Ok(simulate(state, query, sim_settings, None)),
         Mode::Auto => {
             let Some(model) = AnalyticModel::for_query(query) else {
                 // Outside analytic reach: straight to the simulator.
-                return simulate(state, query, sim_settings, None);
+                return Ok(simulate(state, query, sim_settings, None));
             };
             // Analytically covered: the drift monitor re-probes it.
             state.ops.note_hot(query);
@@ -842,7 +840,7 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
             let report = {
                 let _span = state.tel.span("serve/query/probe");
                 state.tel.registry().counter("serve.answer.probes_total").inc();
-                probe_drift(query, &model, probe_settings)?
+                probe_drift(query, &model, probe_settings)
             };
             state
                 .tel
@@ -862,7 +860,7 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
                     .registry()
                     .counter("serve.answer.sim_fallback_total")
                     .inc();
-                simulate(state, query, sim_settings, Some(report.ks))
+                Ok(simulate(state, query, sim_settings, Some(report.ks)))
             }
         }
     }
@@ -874,10 +872,10 @@ fn simulate(
     query: &Query,
     settings: SimSettings,
     drift_ks: Option<f64>,
-) -> Result<CachedAnswer, String> {
+) -> CachedAnswer {
     let _span = state.tel.span("serve/query/sim");
     state.tel.registry().counter("serve.answer.sim_total").inc();
-    let outcome = run_sim(query, settings)?;
+    let outcome = run_sim(query, settings);
     state.tel.log_run(format!(
         "sim answer {} cycles={} reps={} delivered={}",
         query.cache_key(),
@@ -885,10 +883,10 @@ fn simulate(
         settings.reps,
         outcome.delivered
     ));
-    Ok(CachedAnswer {
+    CachedAnswer {
         body: sim_body(query, &outcome, drift_ks),
         source: "simulation",
-    })
+    }
 }
 
 #[cfg(test)]

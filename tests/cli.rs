@@ -245,6 +245,32 @@ fn observability_flags_keep_stdout_byte_identical() {
 }
 
 #[test]
+fn trace_refuses_a_wait_beyond_the_table_limit() {
+    // A well-formed record whose one wait would make the dense pmf
+    // allocate 2^32 bins (32 GiB): refused up front, naming the record.
+    let dir = std::env::temp_dir().join(format!("banyan_cli_huge_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.jsonl");
+    let w = u32::MAX;
+    let start = 10 + u64::from(w);
+    std::fs::write(
+        &path,
+        format!(
+            "{{\"schema\": \"banyan-obs/msgtrace/v1\", \"kind\": \"header\", \"name\": \"t\", \
+             \"stages\": 1, \"seed\": 1, \"reps\": 1, \"rate\": 1}}\n\
+             {{\"kind\": \"msg\", \"rep\": 0, \"ord\": 7, \"inject\": 10, \"digits\": [], \
+             \"enter\": [10], \"start\": [{start}], \"wait\": [{w}], \"total\": {w}}}\n"
+        ),
+    )
+    .unwrap();
+    let (ok, stdout, stderr) = banyan(&["trace", "--file", path.to_str().unwrap()]);
+    assert!(!ok, "must refuse: {stdout}");
+    assert!(stderr.contains("rep 0 msg 7: total wait 4294967295 exceeds"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn report_command_prints_drift_table() {
     let (ok, stdout, stderr) = banyan(&[
         "report", "--stages", "3", "--p", "0.5", "--cycles", "2000", "--seed", "3",

@@ -3,9 +3,10 @@
 //! against the network simulator.
 
 use banyan_core::total_delay::TotalWaiting;
+use banyan_obs::tail::ks_distance;
 use banyan_sim::network::{run_network, NetworkConfig};
 use banyan_sim::traffic::Workload;
-use banyan_stats::distance::{ks_distance, total_variation};
+use banyan_stats::distance::total_variation;
 
 fn run(p: f64, m: u32, n: u32, cycles: u64) -> banyan_sim::NetworkStats {
     let mut cfg = NetworkConfig::new(2, n, Workload::uniform(p, m));
