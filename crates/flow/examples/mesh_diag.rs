@@ -35,7 +35,7 @@ fn main() {
                     m: 1,
                     own_stream: r,
                 };
-                (r / lambda) * an.hop_mean(&h)
+                (r / lambda) * an.hop_moments(&h).0
             })
             .sum();
         println!(

@@ -53,7 +53,7 @@ use banyan_numerics::fft::{convolve, normalize_pmf};
 use banyan_numerics::series::pmf_mean_var;
 use banyan_sim::traffic::ServiceDist;
 use banyan_stats::Gamma;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// How traffic reaches a link: fresh flows inject from their own port
 /// (`(false, flow_id)`), transit flows arrive serialized through their
@@ -106,6 +106,9 @@ pub struct FlowAnalysis<'g> {
     /// [`MAX_HOP_SUPPORT`] is rejected — so the moment laws never see a
     /// silently truncated pmf.
     workloads: Vec<Option<Vec<f64>>>,
+    /// Per flow: `(mean_wait, var_wait)`, folded once at construction
+    /// (see [`FlowAnalysis::flow_moments`]).
+    moments: Vec<(f64, f64)>,
 }
 
 /// Support bound for per-hop pmfs: beyond this the engine refuses
@@ -193,14 +196,55 @@ impl<'g> FlowAnalysis<'g> {
                     .map_err(|e| format!("link {l} (out of '{}'): {e}", node.name))?,
             );
         }
-        Ok(FlowAnalysis {
+        let mut an = FlowAnalysis {
             graph,
             constants,
             rates,
             depths,
             streams,
             workloads,
-        })
+            moments: Vec::new(),
+        };
+        an.moments = an.flow_moments();
+        Ok(an)
+    }
+
+    /// Every flow's `(mean_wait, var_wait)`, folded in path order (see
+    /// [`FlowAnalysis::mean_wait`] and [`FlowAnalysis::var_wait`]). A
+    /// hop's moments depend only on its link and the rate of the stream
+    /// the tagged flow arrives in (`m` is fixed by the link, and the
+    /// mates are the link's streams minus one of that rate), so each
+    /// `(link, own_stream)` pair is solved once and shared by every flow
+    /// that crosses the link in a stream of that rate.
+    fn flow_moments(&self) -> Vec<(f64, f64)> {
+        let mut solved: HashMap<(LinkId, u64), (f64, f64)> = HashMap::new();
+        (0..self.graph.flows().len())
+            .map(|f| {
+                let hops = self.hop_params(f);
+                let per_hop: Vec<(f64, f64)> = hops
+                    .iter()
+                    .map(|h| {
+                        *solved
+                            .entry((h.link, h.own_stream.to_bits()))
+                            .or_insert_with(|| self.hop_moments(h))
+                    })
+                    .collect();
+                let mean = per_hop.iter().map(|&(w, _)| w).sum();
+                let hop_count = hops.len();
+                let var = hops
+                    .iter()
+                    .zip(&per_hop)
+                    .enumerate()
+                    .map(|(j, (h, &(_, v)))| {
+                        let (a, b) = covariance_params(h.rho(), h.fan_in);
+                        let tail_len = (hop_count - 1 - j) as i32;
+                        let factor = 1.0 + 2.0 * a * (1.0 - b.powi(tail_len)) / (1.0 - b);
+                        v * factor
+                    })
+                    .sum();
+                (mean, var)
+            })
+            .collect()
     }
 
     /// The graph under analysis.
@@ -278,10 +322,12 @@ impl<'g> FlowAnalysis<'g> {
                     unreachable!("constructor rejected non-constant service on loaded links");
                 };
                 let key = if j == 0 { (false, f) } else { (true, path[j - 1]) };
-                let own_stream = self.streams[l]
-                    .iter()
-                    .find(|&&(k, _)| k == key)
-                    .map_or(0.0, |&(_, r)| r);
+                // Streams are in key order; a zero-rate flow alone on
+                // its arrival port has no stream and skips no mate.
+                let streams = &self.streams[l];
+                let own_stream = streams
+                    .binary_search_by(|&(k, _)| k.cmp(&key))
+                    .map_or(0.0, |i| streams[i].1);
                 HopParams {
                     link: l,
                     depth: self.depths[l],
@@ -294,32 +340,27 @@ impl<'g> FlowAnalysis<'g> {
             .collect()
     }
 
-    /// Mean wait at one hop. Multi-stream links use the exact
-    /// tagged-stream law for the composed arrivals; single-stream links
-    /// use the §IV stage-`i` law at the aggregate load — the same
-    /// `StageConstants` call (same branch on `m`) as
-    /// `TotalWaiting::stage_mean`.
-    pub fn hop_mean(&self, h: &HopParams) -> f64 {
+    /// Mean and variance of the wait at one hop. Multi-stream links use
+    /// the exact tagged-stream law for the composed arrivals;
+    /// single-stream links use the §IV stage-`i` laws at the aggregate
+    /// load — the same `StageConstants` calls (same branch on `m`) as
+    /// `TotalWaiting::stage_mean` / `stage_var`. Solved afresh on every
+    /// call; the per-flow laws read the table built at construction.
+    pub fn hop_moments(&self, h: &HopParams) -> (f64, f64) {
         if let Some(pmf) = self.tagged_hop_pmf(h) {
-            return pmf_mean_var(&pmf).0;
+            return pmf_mean_var(&pmf);
         }
         if h.m == 1 {
-            self.constants.w_stage(h.depth, h.lambda, h.fan_in)
+            (
+                self.constants.w_stage(h.depth, h.lambda, h.fan_in),
+                self.constants.v_stage(h.depth, h.lambda, h.fan_in),
+            )
         } else {
-            self.constants.w_stage_m(h.depth, h.lambda, h.fan_in, h.m as f64)
-        }
-    }
-
-    /// Wait variance at one hop (`TotalWaiting::stage_var` analogue,
-    /// with the same multi-stream dispatch as [`FlowAnalysis::hop_mean`]).
-    pub fn hop_var(&self, h: &HopParams) -> f64 {
-        if let Some(pmf) = self.tagged_hop_pmf(h) {
-            return pmf_mean_var(&pmf).1;
-        }
-        if h.m == 1 {
-            self.constants.v_stage(h.depth, h.lambda, h.fan_in)
-        } else {
-            self.constants.v_stage_m(h.depth, h.lambda, h.fan_in, h.m as f64)
+            let m = h.m as f64;
+            (
+                self.constants.w_stage_m(h.depth, h.lambda, h.fan_in, m),
+                self.constants.v_stage_m(h.depth, h.lambda, h.fan_in, m),
+            )
         }
     }
 
@@ -328,7 +369,7 @@ impl<'g> FlowAnalysis<'g> {
     /// `TotalWaiting::mean_total`, so the banyan case agrees bit for
     /// bit).
     pub fn mean_wait(&self, f: FlowId) -> f64 {
-        self.hop_params(f).iter().map(|h| self.hop_mean(h)).sum()
+        self.moments[f].0
     }
 
     /// End-to-end waiting variance of flow `f` under the §V geometric
@@ -337,24 +378,15 @@ impl<'g> FlowAnalysis<'g> {
     /// On a banyan every hop shares `(ρ, k)`, and the arithmetic is
     /// exactly `TotalWaiting::var_total`.
     pub fn var_wait(&self, f: FlowId) -> f64 {
-        let hops = self.hop_params(f);
-        let hop_count = hops.len();
-        hops.iter()
-            .enumerate()
-            .map(|(j, h)| {
-                let (a, b) = covariance_params(h.rho(), h.fan_in);
-                let tail_len = (hop_count - 1 - j) as i32;
-                let factor = 1.0 + 2.0 * a * (1.0 - b.powi(tail_len)) / (1.0 - b);
-                self.hop_var(h) * factor
-            })
-            .sum()
+        self.moments[f].1
     }
 
     /// Gamma approximation of flow `f`'s waiting time, moment-matched to
     /// [`FlowAnalysis::mean_wait`] / [`FlowAnalysis::var_wait`]. `None`
     /// when the flow sees no contention (degenerate wait at 0).
     pub fn gamma(&self, f: FlowId) -> Option<Gamma> {
-        Gamma::from_mean_var(self.mean_wait(f), self.var_wait(f))
+        let (mean, var) = self.moments[f];
+        Gamma::from_mean_var(mean, var)
     }
 
     /// Cut-through service time of flow `f`: one cycle of head advance
@@ -415,7 +447,7 @@ impl<'g> FlowAnalysis<'g> {
             }
             Ok(q.pmf(len))
         } else {
-            let (w, v) = (self.hop_mean(h), self.hop_var(h));
+            let (w, v) = self.hop_moments(h);
             let Some(g) = Gamma::from_mean_var(w, v) else {
                 return Ok(vec![1.0]);
             };
@@ -522,6 +554,131 @@ fn workload_pmf(s_pmf: &[f64]) -> Result<Vec<f64>, String> {
 mod tests {
     use super::*;
     use crate::graph::FlowGraph;
+    use crate::topo::{butterfly, fat_tree, mesh, omega};
+    use banyan_prng::check::{check, Gen};
+
+    /// Flow `f`'s moments with every hop re-solved through
+    /// [`FlowAnalysis::hop_moments`] and each own-stream rate found by a
+    /// linear scan — no table, no shared hop solutions.
+    fn reference_moments(an: &FlowAnalysis, f: FlowId) -> (f64, f64) {
+        let path = &an.graph.flows()[f].path;
+        let mut hops = an.hop_params(f);
+        for (j, h) in hops.iter_mut().enumerate() {
+            let key = if j == 0 { (false, f) } else { (true, path[j - 1]) };
+            h.own_stream = an.streams[h.link]
+                .iter()
+                .find(|&&(k, _)| k == key)
+                .map_or(0.0, |&(_, r)| r);
+        }
+        let per_hop: Vec<(f64, f64)> = hops.iter().map(|h| an.hop_moments(h)).collect();
+        let mean = per_hop.iter().map(|&(w, _)| w).sum();
+        let hop_count = hops.len();
+        let var = hops
+            .iter()
+            .enumerate()
+            .map(|(j, h)| {
+                let (a, b) = covariance_params(h.rho(), h.fan_in);
+                let tail_len = (hop_count - 1 - j) as i32;
+                let factor = 1.0 + 2.0 * a * (1.0 - b.powi(tail_len)) / (1.0 - b);
+                per_hop[j].1 * factor
+            })
+            .sum();
+        (mean, var)
+    }
+
+    fn assert_table_matches_reference(g: &FlowGraph, label: &str) {
+        let an = FlowAnalysis::new(g).unwrap();
+        for f in 0..g.flows().len() {
+            let (mean, var) = reference_moments(&an, f);
+            assert_eq!(an.mean_wait(f).to_bits(), mean.to_bits(), "{label} flow {f} mean");
+            assert_eq!(an.var_wait(f).to_bits(), var.to_bits(), "{label} flow {f} var");
+        }
+    }
+
+    #[test]
+    fn moment_table_matches_per_hop_recompute_on_bench_topologies() {
+        for p in [0.4, 0.5, 0.6] {
+            assert_table_matches_reference(&mesh(2, 2, p, 1), &format!("mesh 2x2 p={p}"));
+        }
+        for p in [0.10, 0.12, 0.14] {
+            assert_table_matches_reference(&mesh(4, 4, p, 1), &format!("mesh 4x4 p={p}"));
+        }
+        for p in [0.02, 0.025, 0.03] {
+            assert_table_matches_reference(&mesh(8, 8, p, 1), &format!("mesh 8x8 p={p}"));
+        }
+        for p in [0.3, 0.5, 0.7] {
+            assert_table_matches_reference(&omega(2, 6, p, 1), &format!("omega n=6 p={p}"));
+            assert_table_matches_reference(&omega(2, 9, p, 1), &format!("omega n=9 p={p}"));
+            let label = format!("butterfly n=6 extra=2 p={p}");
+            assert_table_matches_reference(&butterfly(2, 6, 2, p, 1), &label);
+        }
+        for p in [0.25, 0.3, 0.35] {
+            assert_table_matches_reference(&fat_tree(8, 4, 4, p, 1), &format!("fat-tree p={p}"));
+        }
+    }
+
+    /// The random layered DAGs of `tests/flow.rs` (same draws, so the
+    /// same seeds give the same graphs): one forward link per node, one
+    /// flow from every node to ejection, ρ < 0.9 on every link.
+    fn random_layered_dag(g: &mut Gen) -> FlowGraph {
+        let layers = g.usize(2..5);
+        let width = g.usize(1..4);
+        let mut fg = FlowGraph::new();
+        let mut ids = Vec::new();
+        for l in 0..layers {
+            let mut row = Vec::new();
+            for w in 0..width {
+                let fan_in = g.u32(2..6);
+                let m = g.u32(1..4);
+                row.push(fg.add_node(format!("n{l}x{w}"), fan_in, ServiceDist::Constant(m)));
+            }
+            ids.push(row);
+        }
+        let mut out_link = vec![0usize; layers * width];
+        for l in 0..layers {
+            for w in 0..width {
+                let to = (l + 1 < layers).then(|| ids[l + 1][g.usize(0..width)]);
+                out_link[ids[l][w]] = fg.add_link(ids[l][w], to);
+            }
+        }
+        let cap = 0.9 / (3.0 * (layers * width) as f64);
+        for l in 0..layers {
+            for w in 0..width {
+                let rate = g.f64(0.001..cap);
+                let mut path = vec![out_link[ids[l][w]]];
+                while let Some(next) = fg.links()[*path.last().unwrap()].to {
+                    path.push(out_link[next]);
+                }
+                let dst = fg.links()[*path.last().unwrap()].from;
+                fg.add_flow(ids[l][w], dst, rate, path).unwrap();
+            }
+        }
+        fg
+    }
+
+    #[test]
+    fn moment_table_matches_per_hop_recompute_on_random_dags() {
+        check(24, |g| assert_table_matches_reference(&random_layered_dag(g), "random DAG"));
+    }
+
+    /// A zero-rate flow has no stream of its own, so on a multi-stream
+    /// link every stream is a mate: for unit service
+    /// `E[W_s] = E[V] + (λ − r_s)/2` puts it `r/2` above a flow of rate
+    /// `r` on the same port.
+    #[test]
+    fn zero_rate_flow_takes_every_stream_as_mates() {
+        let mut g = FlowGraph::new();
+        let a = g.add_node("a", 3, ServiceDist::unit());
+        let out = g.add_link(a, None);
+        let busy = g.add_flow(a, a, 0.2, vec![out]).unwrap();
+        g.add_flow(a, a, 0.2, vec![out]).unwrap();
+        let idle = g.add_flow(a, a, 0.0, vec![out]).unwrap();
+        let an = FlowAnalysis::new(&g).unwrap();
+        assert_eq!(an.link_streams(out).len(), 2);
+        assert_eq!(an.hop_params(idle)[0].own_stream, 0.0);
+        assert!((an.mean_wait(idle) - an.mean_wait(busy) - 0.1).abs() < 1e-9);
+        assert_table_matches_reference(&g, "zero-rate flow");
+    }
 
     /// A 2-hop line of 2×2 switches, one flow owning every link.
     fn line(p: f64, m: u32) -> FlowGraph {
@@ -627,7 +784,7 @@ mod tests {
     /// workload tail needs far more than `MAX_HOP_SUPPORT` points to
     /// hold `1 − 1e-13` mass — the engine must refuse at construction
     /// instead of truncating (a truncated workload understated
-    /// `hop_mean`/`hop_var` and tripped `normalize_pmf`'s round-off
+    /// the hop moments and tripped `normalize_pmf`'s round-off
     /// assertion in `waiting_pmf`).
     #[test]
     fn near_critical_multi_stream_load_is_refused() {

@@ -38,13 +38,15 @@ impl Gamma {
     /// Moment-matching fit: the gamma with the given mean and variance
     /// (`shape = mean²/var`, `scale = var/mean`).
     ///
-    /// Returns `None` when `mean <= 0` or `var <= 0` (a degenerate or
-    /// empty waiting-time distribution, e.g. zero load).
+    /// Returns `None` unless both fitted parameters are positive and
+    /// finite: when `mean <= 0` or `var <= 0` (a degenerate or empty
+    /// waiting-time distribution, e.g. zero load), when a moment is not
+    /// finite, and when `mean²/var` or `var/mean` under- or overflows
+    /// (a load of `1e-300` drives `mean²/var` to 0).
     pub fn from_mean_var(mean: f64, var: f64) -> Option<Self> {
-        if !(mean > 0.0 && var > 0.0 && mean.is_finite() && var.is_finite()) {
-            return None;
-        }
-        Some(Gamma::new(mean * mean / var, var / mean))
+        let (shape, scale) = (mean * mean / var, var / mean);
+        let valid = |x: f64| x > 0.0 && x.is_finite();
+        (valid(shape) && valid(scale)).then_some(Gamma { shape, scale })
     }
 
     /// Shape parameter `α`.
@@ -160,6 +162,20 @@ mod tests {
         assert!(Gamma::from_mean_var(1.0, 0.0).is_none());
         assert!(Gamma::from_mean_var(-1.0, 1.0).is_none());
         assert!(Gamma::from_mean_var(f64::NAN, 1.0).is_none());
+    }
+
+    /// Finite positive moments whose fitted parameters under- or
+    /// overflow are degenerate too, not a panic in `Gamma::new`.
+    #[test]
+    fn underflowing_or_overflowing_fit_rejected() {
+        // A load of 1e-300: mean²/var underflows to 0.
+        assert!(Gamma::from_mean_var(1e-300, 1e-300).is_none());
+        // var/mean underflows to 0.
+        assert!(Gamma::from_mean_var(1e300, 1e-300).is_none());
+        // mean²/var overflows to infinity.
+        assert!(Gamma::from_mean_var(1e200, 1.0).is_none());
+        assert!(Gamma::from_mean_var(1.0, f64::INFINITY).is_none());
+        assert!(Gamma::from_mean_var(1e-150, 1e-150).is_some());
     }
 
     #[test]

@@ -305,6 +305,12 @@ if [ "$QUICK" -eq 1 ]; then
     # banyan-bench's lib tests exercise real timed benchmark runs
     # (calibration loops), far over the quick budget — full runs cover it.
     timed "unit tests" cargo test --workspace --exclude banyan-bench -q --offline --lib --bins
+    # The line above also runs the flow engine's moment-table-equals-
+    # per-hop-recompute tests (`engine::tests::moment_table_*`) and the
+    # golden `/v1/flow` bodies (`serve::flow::tests`). The tiny-load case
+    # is a CLI test: a gamma fit whose mean²/var underflows must not
+    # panic `banyan flow` or `banyan total`.
+    timed "tiny-load CLI" cargo test -q --offline --test cli tiny_load
     # The line above includes banyan-obs's unit tests: the shared pmf
     # type (`sketch::tests`) and the msgtrace parser's refusals of
     # truncating or wrapping input. Also cheap: the pmf property suite

@@ -14,6 +14,7 @@ use super::query::{flags_from_query_string, flags_from_value};
 use crate::cli::{get, get_prob, validate_flags, Flags};
 use banyan_flow::{butterfly, fat_tree, mesh, omega, FlowAnalysis, FlowGraph};
 use banyan_obs::json::{JsonObject, JsonValue};
+use std::collections::HashMap;
 
 /// Fields a flow query may carry. Dimension fields are per-topology;
 /// using one with the wrong `topo` is rejected (see
@@ -263,6 +264,10 @@ pub fn flow_body(q: &FlowQuery) -> Result<String, String> {
     o.field_u64("nodes", graph.nodes().len() as u64)
         .field_u64("links", graph.links().len() as u64)
         .field_u64("flows", graph.flows().len() as u64);
+    // The gamma fit is a function of the `(mean, var)` bits alone, and
+    // symmetric topologies repeat a few fits across many flows: run each
+    // distinct fit's quantile searches once. `None` is a point mass at 0.
+    let mut wait_quantiles: HashMap<(u64, u64), Option<[f64; LEVELS.len()]>> = HashMap::new();
     let mut rows = Vec::with_capacity(graph.flows().len());
     for (f, flow) in graph.flows().iter().enumerate() {
         let mut row = JsonObject::new();
@@ -271,19 +276,22 @@ pub fn flow_body(q: &FlowQuery) -> Result<String, String> {
             .field_str("dst", &graph.nodes()[flow.dst].name)
             .field_u64("hops", flow.path.len() as u64)
             .field_f64("rate", flow.rate);
-        let gamma = an.gamma(f);
+        let (mean, var) = (an.mean_wait(f), an.var_wait(f));
+        let quantiles = *wait_quantiles
+            .entry((mean.to_bits(), var.to_bits()))
+            .or_insert_with(|| an.gamma(f).map(|g| LEVELS.map(|level| g.quantile(level))));
         let mut wait = JsonObject::new();
-        wait.field_f64("mean", an.mean_wait(f))
-            .field_f64("var", an.var_wait(f));
-        for (label, level) in LEVEL_LABELS.iter().zip(LEVELS) {
-            let v = gamma.as_ref().map_or(0.0, |g| g.quantile(level));
-            wait.field_f64(label, v);
+        wait.field_f64("mean", mean).field_f64("var", var);
+        for (i, label) in LEVEL_LABELS.iter().enumerate() {
+            wait.field_f64(label, quantiles.map_or(0.0, |q| q[i]));
         }
         row.field_raw("wait", &wait.finish());
+        // `FlowAnalysis::delay_quantile`, with the shared wait quantiles.
+        let shift = an.total_service(f) as f64;
         let mut delay = JsonObject::new();
         delay.field_f64("mean", an.mean_delay(f));
-        for (label, level) in LEVEL_LABELS.iter().zip(LEVELS) {
-            delay.field_f64(label, an.delay_quantile(f, level));
+        for (i, label) in LEVEL_LABELS.iter().enumerate() {
+            delay.field_f64(label, quantiles.map_or(shift, |q| shift + q[i]));
         }
         row.field_raw("delay", &delay.finish());
         rows.push(row.finish());
@@ -365,6 +373,60 @@ mod tests {
         // p = 1.0 puts every mesh ejection port at ρ = 1.
         let q = FlowQuery::from_query_string("topo=mesh&p=1").unwrap();
         assert!(flow_body(&q).is_err());
+    }
+
+    /// `flow_body` bytes pinned across commits: each golden file is the
+    /// `banyan flow --json` output of the named query, recorded before
+    /// the per-flow moment table and the shared gamma quantiles.
+    #[test]
+    fn flow_bodies_match_the_golden_files() {
+        for (qs, golden) in [
+            (
+                "topo=mesh&rows=3&cols=3&p=0.12",
+                include_str!("../../tests/golden/flow_mesh_3x3_p0.12.json"),
+            ),
+            (
+                "topo=mesh&rows=2&cols=2&p=0.3&m=2",
+                include_str!("../../tests/golden/flow_mesh_2x2_p0.3_m2.json"),
+            ),
+            (
+                "topo=fat-tree&leaves=4&spines=2&hosts=2&p=0.3",
+                include_str!("../../tests/golden/flow_fat_tree_4_2_2_p0.3.json"),
+            ),
+            (
+                "topo=butterfly&k=2&stages=3&extra=1&p=0.5",
+                include_str!("../../tests/golden/flow_butterfly_k2_n3_extra1_p0.5.json"),
+            ),
+        ] {
+            let q = FlowQuery::from_query_string(qs).unwrap();
+            assert!(flow_body(&q).unwrap() == golden, "{qs}: body differs from its golden file");
+        }
+    }
+
+    /// The shared per-gamma quantiles render exactly the bits of
+    /// `FlowAnalysis::delay_quantile` for every flow.
+    #[test]
+    fn delay_quantiles_match_the_engine_bit_for_bit() {
+        for qs in [
+            "topo=mesh&rows=4&cols=4&p=0.12",
+            "topo=fat-tree&leaves=4&spines=2&hosts=2&p=0.3",
+            "topo=omega&k=2&stages=4&p=0.5",
+        ] {
+            let q = FlowQuery::from_query_string(qs).unwrap();
+            let doc = JsonValue::parse(&flow_body(&q).unwrap()).unwrap();
+            let rows = doc.get("per_flow").and_then(JsonValue::as_array).unwrap();
+            let g = q.build_graph();
+            let an = FlowAnalysis::new(&g).unwrap();
+            assert_eq!(rows.len(), g.flows().len());
+            for (f, row) in rows.iter().enumerate() {
+                let delay = row.get("delay").unwrap();
+                for (label, level) in LEVEL_LABELS.iter().zip(LEVELS) {
+                    let served = delay.get(label).and_then(JsonValue::as_f64).unwrap();
+                    let engine = an.delay_quantile(f, level);
+                    assert_eq!(served.to_bits(), engine.to_bits(), "{qs} flow {f} {label}");
+                }
+            }
+        }
     }
 
     #[test]

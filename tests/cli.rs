@@ -42,6 +42,19 @@ fn total_command_prints_model() {
     assert!(stdout.contains("delay p999"));
 }
 
+/// At a load of 1e-300 the moment-matched gamma's `mean²/var`
+/// underflows to 0: the fit must degrade to a point mass at 0, not
+/// panic in `Gamma::new`.
+#[test]
+fn tiny_load_gamma_fit_is_a_point_mass_not_a_panic() {
+    let (ok, stdout, stderr) = banyan(&["flow", "--p", "1e-300", "--json"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(r#""p999": 0}"#), "{stdout}");
+    let (ok, stdout, stderr) = banyan(&["total", "--k", "2", "--stages", "3", "--p", "1e-300"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("E(total delay)     = 3.000000"), "{stdout}");
+}
+
 #[test]
 fn simulate_command_runs_small_network() {
     let (ok, stdout, _) = banyan(&[

@@ -667,6 +667,24 @@ fn flow_endpoint_serves_cached_byte_identical_answers() {
     handle.shutdown().unwrap();
 }
 
+/// A load so small that the gamma fit's `mean²/var` underflows used to
+/// panic the worker (an empty reply, then a daemon that no longer
+/// answered). It is a point mass at 0, and the daemon keeps serving.
+#[test]
+fn tiny_load_flow_query_is_answered_and_the_daemon_keeps_serving() {
+    let handle = spawn(|_| {});
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let resp = client.request("GET", "/v1/flow?topo=mesh&p=1e-300", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let fq = FlowQuery::from_query_string("topo=mesh&p=1e-300").unwrap();
+    assert_eq!(resp.body, flow_body(&fq).unwrap());
+    let mut fresh = Client::connect(&addr).unwrap();
+    let ready = fresh.request("GET", "/readyz", None).unwrap();
+    assert_eq!(ready.status, 200, "{}", ready.body);
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn invalid_flow_queries_get_clean_errors() {
     let handle = spawn(|_| {});
