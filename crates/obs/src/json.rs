@@ -10,9 +10,10 @@
 //! (`manifest_check`) and the round-trip tests — the simulator's hot
 //! paths still never parse JSON.
 
-/// Escapes a string for inclusion inside JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+use std::fmt::Write;
+
+/// Appends `s` to `out`, escaped for inclusion inside JSON double quotes.
+pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,20 +21,37 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
+}
+
+/// Escapes a string for inclusion inside JSON double quotes.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(&mut out, s);
     out
+}
+
+/// Appends a float to `out` as a JSON value: the shortest decimal that
+/// round-trips, or `null` for NaN/infinity. The one number formatter:
+/// [`fmt_f64`] and every [`JsonObject`] float go through it.
+pub fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Formats a float as a JSON value (`null` for NaN/infinity).
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
 }
 
 /// Incremental writer for one JSON object: collects `"key": value`
@@ -350,6 +368,16 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
         assert_eq!(fmt_f64(1.5), "1.5");
+    }
+
+    #[test]
+    fn write_f64_appends_the_display_digits() {
+        let mut out = String::from("[");
+        for v in [0.1, 1e-7, 2.5e17, f64::NEG_INFINITY, -0.0] {
+            write_f64(&mut out, v);
+            out.push(',');
+        }
+        assert_eq!(out, "[0.1,0.0000001,250000000000000000,null,-0,");
     }
 
     #[test]
