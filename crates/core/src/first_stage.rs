@@ -454,21 +454,37 @@ impl<R: Pgf, U: Pgf> FirstStage<R, U> {
 
     /// Smallest `v` with `P(w <= v) >= q`, for `q ∈ (0, 1)`.
     ///
+    /// Markov's inequality `P(w >= 1) <= E(w)` puts the quantile at 0
+    /// whenever `E(w) <= 1 − q`, without inverting the transform. That
+    /// covers loads so light (`p ≲ 1e-16`) that the sampled transform is
+    /// round-off, or NaN once `p ≲ 1e-154`. Otherwise the pmf window
+    /// doubles until it covers mass `q`; if a doubling adds no mass, the
+    /// rest is round-off, and the answer is the first `v` that reaches
+    /// the mass covered.
+    ///
     /// # Panics
     /// Panics if `q` is outside `(0, 1)`.
     pub fn wait_quantile(&self, q: f64) -> u64 {
         assert!(q > 0.0 && q < 1.0, "quantile level must be in (0,1)");
-        // Expand the pmf window until the target mass is covered.
+        if self.mean_wait() <= 1.0 - q {
+            return 0;
+        }
         let mut len = 64usize;
+        let mut covered = 0.0;
         loop {
             let pmf = self.pmf(len);
-            let mut acc = 0.0;
-            for (v, &p) in pmf.iter().enumerate() {
-                acc += p;
-                if acc >= q {
+            let mass: f64 = pmf.iter().sum();
+            if mass >= q || mass <= covered {
+                let target = q.min(mass);
+                let mut acc = 0.0;
+                if let Some(v) = pmf.iter().position(|&p| {
+                    acc += p;
+                    acc >= target
+                }) {
                     return v as u64;
                 }
             }
+            covered = mass;
             len *= 2;
             assert!(len <= 1 << 22, "quantile window blew up (load too close to 1?)");
         }
@@ -1009,6 +1025,32 @@ mod tests {
                 assert!(q.wait_cdf(v - 1) < level);
             }
         }
+    }
+
+    /// At loads so light that the sampled transform is round-off (or
+    /// NaN), every quantile is 0 by Markov's inequality, not a panic.
+    #[test]
+    fn tiny_load_quantiles_are_zero() {
+        for p in [1e-300, 1e-100, 1e-17] {
+            let q = FirstStage::new(UniformBernoulli::square(2, p), ConstantService::unit())
+                .unwrap();
+            for level in [0.5, 0.9, 0.99, 0.999, 1.0 - 1e-12] {
+                assert_eq!(q.wait_quantile(level), 0, "p={p} level={level}");
+            }
+        }
+    }
+
+    /// A level closer to 1 than the pmf's round-off. At ρ = 0.9 the mass
+    /// of the 512-wide window falls below the 256-wide one's, so the
+    /// window stops growing there; the answer still lies past every
+    /// lower level's and its CDF is 1 to within round-off.
+    #[test]
+    fn quantile_above_the_round_off_mass_stops_growing() {
+        let q = FirstStage::new(UniformBernoulli::square(2, 0.9), ConstantService::unit())
+            .unwrap();
+        let top = q.wait_quantile(1.0 - f64::EPSILON / 2.0);
+        assert!(top >= q.wait_quantile(1.0 - 1e-9), "{top}");
+        assert!(q.wait_cdf(top) > 1.0 - 1e-12, "{top}");
     }
 
     #[test]

@@ -55,6 +55,18 @@ fn tiny_load_gamma_fit_is_a_point_mass_not_a_panic() {
     assert!(stdout.contains("E(total delay)     = 3.000000"), "{stdout}");
 }
 
+/// At a load of 1e-300 the sampled waiting-time transform is NaN, and
+/// `wait_quantile` used to double its pmf window until it panicked.
+/// Markov's inequality puts every quantile at 0.
+#[test]
+fn tiny_load_first_stage_quantile_is_zero_not_a_panic() {
+    let (ok, stdout, stderr) = banyan(&["first-stage", "--p", "1e-300"]);
+    assert!(ok, "{stderr}");
+    for level in ["p500", "p900", "p990", "p999"] {
+        assert!(stdout.contains(&format!("wait {level}  = 0\n")), "{stdout}");
+    }
+}
+
 #[test]
 fn simulate_command_runs_small_network() {
     let (ok, stdout, _) = banyan(&[

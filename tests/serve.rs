@@ -685,6 +685,29 @@ fn tiny_load_flow_query_is_answered_and_the_daemon_keeps_serving() {
     handle.shutdown().unwrap();
 }
 
+/// A first-stage query at a load of 1e-300 used to panic the worker in
+/// `FirstStage::wait_quantile` ("quantile window blew up"); on a
+/// one-worker daemon nothing else was answered after it. Every quantile
+/// is 0, and the next request, on a fresh connection, is answered.
+#[test]
+fn tiny_load_first_stage_query_is_answered_and_the_daemon_keeps_serving() {
+    let handle = spawn(|cfg| cfg.workers = 1);
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let body = r#"{"k": 2, "stages": 1, "p": 1e-300, "geometric_mu": 0.5}"#;
+    let resp = client.request("POST", "/query", Some(body)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = JsonValue::parse(&resp.body).unwrap();
+    for level in ["p50", "p90", "p99", "p999"] {
+        assert_eq!(get_f64(&doc, "wait", level), 0.0, "{}", resp.body);
+    }
+    drop(client);
+    let mut fresh = Client::connect(&addr).unwrap();
+    let health = fresh.request("GET", "/healthz", None).unwrap();
+    assert_eq!(health.status, 200, "{}", health.body);
+    handle.shutdown().unwrap();
+}
+
 #[test]
 fn invalid_flow_queries_get_clean_errors() {
     let handle = spawn(|_| {});
