@@ -42,6 +42,9 @@ pub fn analysis() -> std::path::PathBuf {
     let g = Gamma::from_mean_var(3.59, 3.74).unwrap();
     s.bench("gamma_cdf", || g.cdf(black_box(4.2)));
     s.bench("gamma_quantile_999", || g.quantile(black_box(0.999)));
+    // Mesh flows fit shapes of 0.01–0.1 (mesh 8×8 at p = 0.025: 0.0235).
+    let small = Gamma::new(0.02, 1.0);
+    s.bench("gamma_quantile_small_shape", || small.quantile(black_box(0.5)));
 
     s.finish()
 }

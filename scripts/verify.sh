@@ -307,10 +307,16 @@ if [ "$QUICK" -eq 1 ]; then
     timed "unit tests" cargo test --workspace --exclude banyan-bench -q --offline --lib --bins
     # The line above also runs the flow engine's moment-table-equals-
     # per-hop-recompute tests (`engine::tests::moment_table_*`) and the
-    # golden `/v1/flow` bodies (`serve::flow::tests`). The tiny-load case
-    # is a CLI test: a gamma fit whose mean²/var underflows must not
-    # panic `banyan flow` or `banyan total`.
+    # golden `/v1/flow` bodies (`serve::flow::tests`). The tiny-load cases
+    # are CLI tests: a gamma fit whose mean²/var underflows must not
+    # panic `banyan flow` or `banyan total`, and a first-stage quantile
+    # at p = 1e-300 must not panic `banyan first-stage`.
     timed "tiny-load CLI" cargo test -q --offline --test cli tiny_load
+    # The gamma quantile against an independent bisection oracle over
+    # shapes 0.01..1000 and levels 1e-6..1-1e-9 (also in the unit tests
+    # above; its own line keeps its wall time and failure visible).
+    timed "gamma quantile oracle" cargo test -q --offline -p banyan-numerics --lib \
+        inv_reg_gamma_matches_the_bisection_oracle
     # The line above includes banyan-obs's unit tests: the shared pmf
     # type (`sketch::tests`) and the msgtrace parser's refusals of
     # truncating or wrapping input. Also cheap: the pmf property suite
