@@ -78,7 +78,7 @@ pub fn ablation_convolution(scale: &Scale) -> String {
         let stats = total_profile(2, n, p, m, scale, BASE_SEED + 340 + i as u64);
         let model = TotalWaiting::new(2, n, p, m);
         let g = model.gamma().expect("positive load");
-        let len = (stats.total_hist.max_value().unwrap_or(32) as usize + 32).next_power_of_two();
+        let len = (stats.total_wait.max_value().unwrap_or(32) as usize + 32).next_power_of_two();
         let conv = model.waiting_pmf_convolution(len);
         let conv_cdf: Vec<f64> = conv
             .iter()
@@ -87,14 +87,14 @@ pub fn ablation_convolution(scale: &Scale) -> String {
                 Some(*acc)
             })
             .collect();
-        let ks_g = ks_distance(&stats.total_hist, |x| g.cdf(x));
+        let ks_g = ks_distance(&stats.total_wait, |x| g.cdf(x));
         // The convolution model is discrete: evaluate its CDF at the bin.
-        let ks_c = ks_distance(&stats.total_hist, |x| {
+        let ks_c = ks_distance(&stats.total_wait, |x| {
             let idx = x.floor().max(0.0) as usize;
             conv_cdf.get(idx).copied().unwrap_or(1.0)
         });
-        let tv_g = total_variation(&stats.total_hist, |v| g.bin_prob(v));
-        let tv_c = total_variation(&stats.total_hist, |v| {
+        let tv_g = total_variation(&stats.total_wait, |v| g.bin_prob(v));
+        let tv_c = total_variation(&stats.total_wait, |v| {
             conv.get(v as usize).copied().unwrap_or(0.0)
         });
         t.num_row(

@@ -135,7 +135,6 @@ pub fn stage_shapes(scale: &Scale) -> String {
     t.header(header);
     for (i, &p) in [0.2f64, 0.5, 0.8].iter().enumerate() {
         let mut cfg = NetworkConfig::new(2, 8, Workload::uniform(p, 1));
-        cfg.collect_stage_histograms = true;
         let ports = 256u64;
         cfg.measure_cycles = (scale.target_messages / scale.reps as u64)
             .div_ceil((ports as f64 * p) as u64)
@@ -143,7 +142,7 @@ pub fn stage_shapes(scale: &Scale) -> String {
         cfg.warmup_cycles = (cfg.measure_cycles / 10).max(200);
         cfg.seed = BASE_SEED + 460 + i as u64;
         let stats = run_network_replicated(&cfg, scale.reps, scale.threads);
-        let hists = stats.stage_hists.as_ref().expect("histograms requested");
+        let hists = &stats.stage_waits;
         let mut cells = vec![format!("{p}")];
         for h in hists.iter() {
             let tv = total_variation(h, |v| hists[0].pmf_at(v));

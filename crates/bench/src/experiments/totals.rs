@@ -106,7 +106,7 @@ fn figure_panel(label: &str, p: f64, m: u32, n: u32, stats: &NetworkStats) -> St
     let _ = writeln!(
         out,
         "Figure panel: k=2 p={p} m={m} {n} stages  ({label}; {} messages)",
-        stats.total_hist.total()
+        stats.total_wait.total()
     );
     match &gamma {
         Some(g) => {
@@ -124,17 +124,17 @@ fn figure_panel(label: &str, p: f64, m: u32, n: u32, stats: &NetworkStats) -> St
         }
     }
     // Plot up to the empirical 99.9% quantile (the paper's tails).
-    let upper = stats.total_hist.quantile(0.999).unwrap_or(0);
-    let sim: Vec<f64> = (0..=upper).map(|v| stats.total_hist.pmf_at(v)).collect();
+    let upper = stats.total_wait.quantile(0.999).unwrap_or(0);
+    let sim: Vec<f64> = (0..=upper).map(|v| stats.total_wait.pmf_at(v)).collect();
     let model_bins: Vec<f64> = (0..=upper)
         .map(|v| gamma.as_ref().map_or(0.0, |g| g.bin_prob(v)))
         .collect();
     out.push_str(&crate::plot::histogram_overlay(&sim, &model_bins, 48, 1e-9));
     if let Some(g) = &gamma {
-        let ks = ks_distance(&stats.total_hist, |x| g.cdf(x));
-        let tv = total_variation(&stats.total_hist, |v| g.bin_prob(v));
-        let t90 = tail_relative_error(&stats.total_hist, |x| g.sf(x), 0.90);
-        let t99 = tail_relative_error(&stats.total_hist, |x| g.sf(x), 0.99);
+        let ks = ks_distance(&stats.total_wait, |x| g.cdf(x));
+        let tv = total_variation(&stats.total_wait, |v| g.bin_prob(v));
+        let t90 = tail_relative_error(&stats.total_wait, |x| g.sf(x), 0.90);
+        let t99 = tail_relative_error(&stats.total_wait, |x| g.sf(x), 0.99);
         let _ = writeln!(
             out,
             "fit quality: KS={ks:.4}  TV={tv:.4}  tail-rel-err@90%={}  @99%={}",
@@ -178,7 +178,7 @@ pub fn tail_quality_from(runs: &TotalRuns) -> String {
             let stats = &runs.runs[ci][ni];
             let model = TotalWaiting::new(2, n, p, m);
             let Some(g) = model.gamma() else { continue };
-            let pmf = &stats.total_hist;
+            let pmf = &stats.total_wait;
             let ks = ks_distance(pmf, |x| g.cdf(x));
             let tv = total_variation(pmf, |v| g.bin_prob(v));
             let fmt = |o: Option<f64>| o.map_or("n/a".to_string(), |e| format!("{e:.3}"));
@@ -210,9 +210,9 @@ pub fn figures_csv_from(runs: &TotalRuns) -> String {
             let stats = &runs.runs[ci][ni];
             let model = TotalWaiting::new(2, n, p, m);
             let gamma = model.gamma();
-            let upper = stats.total_hist.quantile(0.999).unwrap_or(0);
+            let upper = stats.total_wait.quantile(0.999).unwrap_or(0);
             for v in 0..=upper {
-                let sim = stats.total_hist.pmf_at(v);
+                let sim = stats.total_wait.pmf_at(v);
                 let gp = gamma.as_ref().map_or(0.0, |g| g.bin_prob(v));
                 let _ = writeln!(out, "{fig},{label},{p},{m},{n},{v},{sim:.6e},{gp:.6e}");
             }
@@ -286,10 +286,10 @@ mod tests {
         let stats = run_config(0.5, 1, 3, BASE_SEED + 100 + 16, &Scale::quick());
         let model = TotalWaiting::new(2, 3, 0.5, 1);
         let g = model.gamma().unwrap();
-        let ks = ks_distance(&stats.total_hist, |x| g.cdf(x));
+        let ks = ks_distance(&stats.total_wait, |x| g.cdf(x));
         assert!(ks < 0.05, "KS drift vs prediction: {ks}");
         // And the simulated mean sits near the analytic stage-sum mean.
-        let rel = (stats.total_hist.mean() - model.mean_total()).abs() / model.mean_total();
+        let rel = (stats.total_wait.mean() - model.mean_total()).abs() / model.mean_total();
         assert!(rel < 0.05, "mean drift: {rel}");
     }
 }

@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn quick_total_profile_collects_histogram() {
         let stats = total_profile(2, 3, 0.5, 1, &Scale::quick(), 11);
-        assert_eq!(stats.total_hist.total(), stats.delivered);
+        assert_eq!(stats.total_wait.total(), stats.delivered);
         assert!(stats.total_wait.mean() > 0.0);
     }
 }

@@ -276,8 +276,8 @@ pub fn ln_beta(a: f64, b: f64) -> f64 {
 /// Evaluated by the standard continued fraction (modified Lentz), using
 /// whichever of the two symmetric forms converges fast
 /// (`x < (a+1)/(a+b+2)` picks the direct one). This is the machinery
-/// behind the Student-t CDF used by the batch-means confidence
-/// intervals: `F_df(t) = 1 − ½ I_{df/(df+t²)}(df/2, ½)` for `t ≥ 0`.
+/// behind the Student-t CDF of `banyan_stats::ci::student_t_quantile`:
+/// `F_df(t) = 1 − ½ I_{df/(df+t²)}(df/2, ½)` for `t ≥ 0`.
 pub fn reg_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta parameters must be positive, got ({a}, {b})");
     assert!((0.0..=1.0).contains(&x), "argument must be in [0,1], got {x}");

@@ -102,7 +102,7 @@ impl InputQueuedSim {
             switch_inputs,
             now: 0,
             tracked_in_flight: 0,
-            stats: NetworkStats::new(cfg.stages, false, false),
+            stats: NetworkStats::new(cfg.stages, false),
             cfg,
         }
     }
@@ -181,15 +181,8 @@ impl InputQueuedSim {
             return;
         }
         self.tracked_in_flight -= 1;
-        self.stats.delivered += 1;
         let n = self.cfg.stages as usize;
-        let mut total = 0u64;
-        for (i, &w) in msg.waits[..n].iter().enumerate() {
-            self.stats.stage_waits[i].push(w as f64);
-            total += w as u64;
-        }
-        self.stats.total_wait.push(total as f64);
-        self.stats.total_hist.record(total);
+        self.stats.record_delivery(&msg.waits[..n]);
     }
 
     fn step(&mut self, tracked_window: bool) {
@@ -251,7 +244,7 @@ mod tests {
         let stats = run_input_queued(quick(2, 4, 0.3));
         assert!(stats.injected > 0);
         assert_eq!(stats.injected, stats.delivered);
-        assert_eq!(stats.total_hist.total(), stats.delivered);
+        assert_eq!(stats.total_wait.total(), stats.delivered);
     }
 
     #[test]

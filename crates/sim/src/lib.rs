@@ -18,7 +18,7 @@
 //! Workloads ([`traffic`]) cover uniform Bernoulli arrivals, hot-spot
 //! ("favorite output") traffic, and constant / mixed / geometric message
 //! sizes. [`runner`] shards replications across threads and merges the
-//! streaming statistics exactly. Each replication runs either on the
+//! exact integer statistics by addition. Each replication runs either on the
 //! scalar [`NetworkSim`] or, for infinite-buffer destination-tag
 //! configurations ([`sweep_eligible`]), on the message-driven stage
 //! sweep — bit-identical to the scalar simulator (see

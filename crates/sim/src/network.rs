@@ -47,7 +47,7 @@ use banyan_obs::registry::POW2_BOUNDS;
 use banyan_obs::{DistSketch, Gauge, Histogram, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{Rng, SeedableRng};
-use banyan_stats::{CorrelationMatrix, OnlineStats};
+use banyan_stats::CorrelationMatrix;
 use std::sync::Arc;
 
 /// Hard cap on stages (fixed-size per-message wait record).
@@ -114,10 +114,6 @@ pub struct NetworkConfig {
     /// Collect the full cross-stage correlation matrix (Table VI). Off by
     /// default: it costs `O(n²)` updates per delivered message.
     pub collect_correlations: bool,
-    /// Collect a full waiting-time histogram per stage (used to check
-    /// §V's "the distribution of waiting times seems to be about the
-    /// same for all stages"). Off by default.
-    pub collect_stage_histograms: bool,
     /// RNG seed (simulations are fully deterministic given the seed).
     pub seed: u64,
 }
@@ -134,7 +130,6 @@ impl NetworkConfig {
             warmup_cycles: 2_000,
             measure_cycles: 20_000,
             collect_correlations: false,
-            collect_stage_histograms: false,
             seed: 0x0BAD_5EED,
         }
     }
@@ -150,18 +145,25 @@ impl NetworkConfig {
 /// Aggregated simulation output (all statistics refer to *tracked*
 /// messages — those injected inside the measure window — except the
 /// `*_total` counters and `in_flight_at_end`).
-#[derive(Clone, Debug)]
+///
+/// Every field is exact integer state: the waiting-time statistics are
+/// pmfs whose moments come from exact integer sums, so the result does
+/// not depend on the order deliveries are folded in, and
+/// [`NetworkStats::merge`] is integer addition. Two runs agree exactly
+/// when they compare `==`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Per-stage waiting-time statistics, index 0 = stage 1.
-    pub stage_waits: Vec<OnlineStats>,
-    /// Total (summed over stages) waiting time per message.
-    pub total_wait: OnlineStats,
-    /// Exact pmf of total waiting times (the Figs. 3–8 raw data).
+    /// Per-stage exact waiting-time pmfs, index 0 = stage 1.
+    pub stage_waits: Vec<DistSketch>,
+    /// Exact pmf of the total (summed over stages) waiting time per
+    /// message — the Figs. 3–8 raw data.
+    pub total_wait: DistSketch,
+    /// The same pmf as `total_wait`. It stays only because the frozen
+    /// benchmark harness (`benchmark/src/sim.rs`) compares this field;
+    /// drop it with the next benchmark revision.
     pub total_hist: DistSketch,
     /// Cross-stage waiting-time correlations (Table VI), if collected.
     pub correlations: Option<CorrelationMatrix>,
-    /// Per-stage exact waiting-time pmfs, if collected.
-    pub stage_hists: Option<Vec<DistSketch>>,
     /// Tracked messages injected.
     pub injected: u64,
     /// Tracked messages delivered (equal to `injected` after a full run).
@@ -184,17 +186,12 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
-    pub(crate) fn new(
-        stages: u32,
-        collect_correlations: bool,
-        collect_stage_histograms: bool,
-    ) -> Self {
+    pub(crate) fn new(stages: u32, collect_correlations: bool) -> Self {
         NetworkStats {
-            stage_waits: vec![OnlineStats::new(); stages as usize],
-            total_wait: OnlineStats::new(),
+            stage_waits: vec![DistSketch::new(); stages as usize],
+            total_wait: DistSketch::new(),
             total_hist: DistSketch::new(),
             correlations: collect_correlations.then(|| CorrelationMatrix::new(stages as usize)),
-            stage_hists: collect_stage_histograms.then(|| vec![DistSketch::new(); stages as usize]),
             injected: 0,
             delivered: 0,
             injected_total: 0,
@@ -205,34 +202,27 @@ impl NetworkStats {
         }
     }
 
-    /// Folds one tracked delivery's per-stage waits — the exact,
-    /// order-sensitive accounting both engines share (Welford pushes,
-    /// total histogram, optional correlations and stage histograms).
+    /// Folds one tracked delivery's per-stage waits — the accounting
+    /// every engine shares (stage pmfs, total pmf, optional
+    /// correlations). Integer counts only, so the fold order is free.
     #[inline]
     pub(crate) fn record_delivery(&mut self, waits: &[u32]) {
         self.delivered += 1;
         let mut total = 0u64;
-        for (i, &w) in waits.iter().enumerate() {
-            self.stage_waits[i].push(w as f64);
-            total += w as u64;
+        for (h, &w) in self.stage_waits.iter_mut().zip(waits) {
+            h.record(u64::from(w));
+            total += u64::from(w);
         }
-        self.total_wait.push(total as f64);
+        self.total_wait.record(total);
         self.total_hist.record(total);
         if let Some(corr) = &mut self.correlations {
-            let mut obs = [0.0f64; MAX_STAGES];
-            for (o, &w) in obs.iter_mut().zip(waits) {
-                *o = w as f64;
-            }
-            corr.push(&obs[..waits.len()]);
-        }
-        if let Some(hists) = &mut self.stage_hists {
-            for (h, &w) in hists.iter_mut().zip(waits) {
-                h.record(w as u64);
-            }
+            corr.push(waits);
         }
     }
 
-    /// Merges statistics from an independent replication.
+    /// Merges statistics from an independent replication: integer
+    /// addition throughout, so replications merge in any order (or
+    /// grouping) to the same result.
     pub fn merge(&mut self, other: &NetworkStats) {
         assert_eq!(
             self.stage_waits.len(),
@@ -248,15 +238,6 @@ impl NetworkStats {
             (Some(a), Some(b)) => a.merge(b),
             (None, None) => {}
             _ => panic!("correlation collection mismatch in merge"),
-        }
-        match (&mut self.stage_hists, &other.stage_hists) {
-            (Some(a), Some(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge(y);
-                }
-            }
-            (None, None) => {}
-            _ => panic!("stage-histogram collection mismatch in merge"),
         }
         self.injected += other.injected;
         self.delivered += other.delivered;
@@ -504,11 +485,7 @@ impl NetworkSim {
             active_words: ports.div_ceil(64),
             now: 0,
             tracked_in_flight: 0,
-            stats: NetworkStats::new(
-                cfg.stages,
-                cfg.collect_correlations,
-                cfg.collect_stage_histograms,
-            ),
+            stats: NetworkStats::new(cfg.stages, cfg.collect_correlations),
             trace: None,
             cfg,
         }
@@ -806,15 +783,6 @@ impl NetworkSim {
         mut self,
         tel: &Telemetry,
     ) -> (NetworkStats, Option<TraceState>) {
-        // With metrics on, per-stage waiting-time pmfs are captured for
-        // the distribution sketches. Flipping the existing `stage_hists`
-        // option *before* the run reuses deliver()'s existing branch —
-        // the OBS = false instantiation compiles to the same None check
-        // it always had, and the dynamics (RNG, queues) are untouched,
-        // so statistics stay bit-identical.
-        if OBS && tel.metrics_enabled() && self.stats.stage_hists.is_none() {
-            self.stats.stage_hists = Some(vec![DistSketch::new(); self.cfg.stages as usize]);
-        }
         let mut obs = if OBS {
             Some(ObsState::new(tel, self.cfg.stages as usize))
         } else {
@@ -1016,12 +984,10 @@ impl<'t> ObsState<'t> {
         // Sketch merging is commutative integer addition, so concurrent
         // workers may flush in any order without changing the result.
         let sketches = self.tel.sketches();
-        if let Some(hists) = &st.stage_hists {
-            for (i, h) in hists.iter().enumerate() {
-                sketches.merge_sketch(&format!("net.wait.stage{:02}", i + 1), h);
-            }
+        for (i, h) in st.stage_waits.iter().enumerate() {
+            sketches.merge_sketch(&format!("net.wait.stage{:02}", i + 1), h);
         }
-        sketches.merge_sketch("net.wait.total", &st.total_hist);
+        sketches.merge_sketch("net.wait.total", &st.total_wait);
     }
 }
 
@@ -1073,20 +1039,7 @@ mod tests {
         ] {
             let tel = Telemetry::new(cfg);
             let inst = run_network_instrumented(quick_cfg(2, 4, 0.6, 2), &tel);
-            assert_eq!(inst.injected, base.injected);
-            assert_eq!(inst.delivered, base.delivered);
-            assert_eq!(inst.injected_total, base.injected_total);
-            assert_eq!(inst.delivered_total, base.delivered_total);
-            assert_eq!(inst.in_flight_at_end, base.in_flight_at_end);
-            assert_eq!(inst.cycles, base.cycles);
-            for (a, b) in inst.stage_waits.iter().zip(&base.stage_waits) {
-                assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-                assert_eq!(a.variance().to_bits(), b.variance().to_bits());
-            }
-            assert_eq!(
-                inst.total_wait.mean().to_bits(),
-                base.total_wait.mean().to_bits()
-            );
+            assert_eq!(inst, base);
         }
     }
 
@@ -1147,8 +1100,8 @@ mod tests {
         let tel = Telemetry::new(TelemetryConfig::on());
         let stats = run_network_instrumented(quick_cfg(2, 4, 0.5, 1), &tel);
         let sketches = tel.sketches();
-        // One sketch per stage plus the end-to-end total, even though
-        // the config did not request stage histograms explicitly.
+        // One sketch per stage plus the end-to-end total: exactly the
+        // pmfs the returned stats carry.
         for i in 1..=4 {
             let name = format!("net.wait.stage{i:02}");
             let sk = sketches
@@ -1159,39 +1112,20 @@ mod tests {
                 stats.delivered,
                 "{name} pmf must sum to delivered"
             );
-            let i0 = i - 1;
-            assert!(
-                (sk.mean() - stats.stage_waits[i0].mean()).abs() < 1e-9,
-                "{name} mean {} vs E(w) {}",
-                sk.mean(),
-                stats.stage_waits[i0].mean()
-            );
-            assert!(
-                (sk.variance() - stats.stage_waits[i0].variance()).abs() < 1e-9,
-                "{name} variance {} vs Var(w) {}",
-                sk.variance(),
-                stats.stage_waits[i0].variance()
-            );
+            assert_eq!(sk, stats.stage_waits[i - 1], "{name}");
         }
         let total = sketches.get("net.wait.total").expect("total sketch");
-        assert_eq!(total.total(), stats.delivered);
-        assert!((total.mean() - stats.total_wait.mean()).abs() < 1e-9);
+        assert_eq!(total, stats.total_wait);
         // The pmf itself is exact: probabilities sum to one.
         let mass: f64 = total.pmf_points().iter().map(|&(_, p)| p).sum();
         assert!((mass - 1.0).abs() < 1e-9);
-        // The returned stats now carry the per-stage histograms too.
-        assert!(stats.stage_hists.is_some());
     }
 
     #[test]
     fn disabled_telemetry_records_no_sketches() {
         let tel = Telemetry::off();
-        let stats = NetworkSim::new(quick_cfg(2, 3, 0.5, 1)).run_instrumented(&tel);
+        NetworkSim::new(quick_cfg(2, 3, 0.5, 1)).run_instrumented(&tel);
         assert!(tel.sketches().is_empty());
-        assert!(
-            stats.stage_hists.is_none(),
-            "off path must not allocate stage hists"
-        );
     }
 
     #[test]
@@ -1199,8 +1133,13 @@ mod tests {
         let stats = run_network(quick_cfg(2, 4, 0.5, 1));
         assert!(stats.injected > 0);
         assert_eq!(stats.injected, stats.delivered);
-        assert_eq!(stats.total_wait.count(), stats.delivered);
-        assert_eq!(stats.total_hist.total(), stats.delivered);
+        assert_eq!(stats.total_wait.total(), stats.delivered);
+        assert_eq!(stats.total_hist, stats.total_wait);
+        // Every stage pmf holds one wait per tracked delivery.
+        assert_eq!(stats.stage_waits.len(), 4);
+        for h in &stats.stage_waits {
+            assert_eq!(h.total(), stats.delivered);
+        }
     }
 
     #[test]
@@ -1297,8 +1236,8 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.delivered, a.delivered + b.delivered);
         assert_eq!(
-            merged.total_hist.total(),
-            a.total_hist.total() + b.total_hist.total()
+            merged.total_wait.total(),
+            a.total_wait.total() + b.total_wait.total()
         );
         assert_eq!(
             merged.delivered_total,
@@ -1501,23 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_histograms_collected_and_consistent() {
-        let mut cfg = quick_cfg(2, 5, 0.5, 1);
-        cfg.collect_stage_histograms = true;
-        cfg.measure_cycles = 20_000;
-        let stats = run_network(cfg);
-        let hists = stats.stage_hists.as_ref().unwrap();
-        assert_eq!(hists.len(), 5);
-        for (i, h) in hists.iter().enumerate() {
-            assert_eq!(h.total(), stats.delivered);
-            assert!(
-                (h.mean() - stats.stage_waits[i].mean()).abs() < 1e-9,
-                "stage {i} histogram/accumulator mismatch"
-            );
-        }
-    }
-
-    #[test]
     fn stage_distributions_have_similar_shape() {
         // §V: "The distribution of waiting times seems to be about the
         // same for all stages." Compare stage-1 and deep-stage pmfs by
@@ -1525,10 +1447,9 @@ mod tests {
         // longer at p = 0.5 — but the shapes are close).
         use banyan_stats::distance::total_variation;
         let mut cfg = quick_cfg(2, 8, 0.5, 1);
-        cfg.collect_stage_histograms = true;
         cfg.measure_cycles = 30_000;
         let stats = run_network(cfg);
-        let hists = stats.stage_hists.as_ref().unwrap();
+        let hists = &stats.stage_waits;
         let first = &hists[0];
         let deep = &hists[7];
         let tv = total_variation(deep, |v| first.pmf_at(v));
@@ -1572,13 +1493,7 @@ mod tests {
         let mut sim = NetworkSim::new(cfg);
         sim.router = Router::ButterflyArith(ButterflyTopology::new(2, 5));
         let arith = sim.run();
-        assert_eq!(tabled.injected, arith.injected);
-        assert_eq!(tabled.total_wait.mean(), arith.total_wait.mean());
-        assert_eq!(tabled.total_wait.variance(), arith.total_wait.variance());
-        assert_eq!(
-            tabled.stage_waits[2].mean().to_bits(),
-            arith.stage_waits[2].mean().to_bits()
-        );
+        assert_eq!(tabled, arith);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::traffic::ServiceDist;
 use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{Rng, SeedableRng};
-use banyan_stats::{CoMoment, OnlineStats};
+use banyan_stats::CorrelationMatrix;
 
 /// Per-cycle batch-size (message-count) distribution at the queue.
 #[derive(Clone, Debug)]
@@ -134,63 +134,76 @@ impl QueueConfig {
     }
 }
 
-/// Output of a single-queue run.
-#[derive(Clone, Debug)]
+/// Output of a single-queue run: exact integer state, so replications
+/// merge by addition and every fraction pools all measured cycles.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Waiting-time moments over measured messages.
-    pub wait: OnlineStats,
-    /// Exact waiting-time pmf.
-    pub hist: DistSketch,
-    /// End-of-cycle unfinished work (the `s` of Theorem 1's proof; its
-    /// transform is `Ψ(z)`).
-    pub backlog: OnlineStats,
-    /// Exact pmf of the end-of-cycle unfinished work — the empirical
-    /// counterpart of the inverted `Ψ(z)` pmf.
-    pub backlog_hist: DistSketch,
+    /// Exact waiting-time pmf over measured messages.
+    pub wait: DistSketch,
+    /// Exact pmf of the end-of-cycle unfinished work (the `s` of Theorem
+    /// 1's proof; its transform is `Ψ(z)`), one observation per measured
+    /// cycle.
+    pub backlog: DistSketch,
+    /// Measured cycles in which the server was busy.
+    pub busy_cycles: u64,
+    /// Joint counts of the 0/1 busy indicator at lags 1..=4: index
+    /// `l − 1` holds the pairs (busy `l` cycles ago, busy now).
+    busy_lags: [CorrelationMatrix; 4],
+}
+
+impl QueueStats {
+    fn new() -> Self {
+        QueueStats {
+            wait: DistSketch::new(),
+            backlog: DistSketch::new(),
+            busy_cycles: 0,
+            busy_lags: std::array::from_fn(|_| CorrelationMatrix::new(2)),
+        }
+    }
+
     /// Fraction of measured cycles ending with zero backlog,
-    /// `P(s = 0) = Ψ(0)`.
-    pub idle_fraction: f64,
-    /// Long-run fraction of busy cycles (utilization ≈ ρ).
-    pub utilization: f64,
+    /// `P(s = 0) = Ψ(0)` (`0.0` when nothing was measured).
+    pub fn idle_fraction(&self) -> f64 {
+        self.backlog.pmf_at(0)
+    }
+
+    /// Long-run fraction of busy cycles (utilization ≈ ρ; `0.0` when
+    /// nothing was measured).
+    pub fn utilization(&self) -> f64 {
+        self.busy_cycles as f64 / self.backlog.total().max(1) as f64
+    }
+
     /// Lag-1..=4 autocorrelation of the busy indicator — the queue's
     /// *output* process. Nonzero values are exactly why the paper cannot
     /// analyze stage 2 exactly ("the inputs at successive cycles are not
     /// independent", §IV): this output feeds the next stage.
-    pub output_autocorr: [f64; 4],
-}
+    pub fn output_autocorr(&self) -> [f64; 4] {
+        std::array::from_fn(|l| self.busy_lags[l].correlation(0, 1))
+    }
 
-impl QueueStats {
-    /// Merges an independent replication.
+    /// Merges an independent replication: integer addition, so the
+    /// fractions of the result pool every replication's cycles.
     pub fn merge(&mut self, other: &QueueStats) {
-        // Scalar fractions combine by simple averaging (replications use
-        // identical cycle counts in this project).
-        self.utilization = 0.5 * (self.utilization + other.utilization);
-        self.idle_fraction = 0.5 * (self.idle_fraction + other.idle_fraction);
-        for (a, b) in self.output_autocorr.iter_mut().zip(&other.output_autocorr) {
-            *a = 0.5 * (*a + b);
-        }
         self.wait.merge(&other.wait);
-        self.hist.merge(&other.hist);
         self.backlog.merge(&other.backlog);
-        self.backlog_hist.merge(&other.backlog_hist);
+        self.busy_cycles += other.busy_cycles;
+        for (a, b) in self.busy_lags.iter_mut().zip(&other.busy_lags) {
+            a.merge(b);
+        }
     }
 }
 
 /// The Lindley-recursion state, factored out so the plain and
 /// instrumented entry points drive the *same* per-cycle body (identical
-/// operation and RNG order → bit-identical statistics).
+/// operation and RNG order → identical statistics).
 struct LindleyState {
     rng: SmallRng,
     /// Unfinished work at end of previous cycle.
     s: u64,
-    wait: OnlineStats,
-    hist: DistSketch,
-    backlog_stats: OnlineStats,
-    backlog_hist: DistSketch,
-    busy_cycles: u64,
-    idle_ends: u64,
-    autocorr: [CoMoment; 4],
-    busy_history: [f64; 4],
+    stats: QueueStats,
+    /// Busy indicators of the last four measured cycles, most recent
+    /// first; the first `history_len` are valid.
+    busy_history: [u32; 4],
     history_len: usize,
 }
 
@@ -200,14 +213,8 @@ impl LindleyState {
         LindleyState {
             rng: SmallRng::seed_from_u64(cfg.seed),
             s: 0,
-            wait: OnlineStats::new(),
-            hist: DistSketch::new(),
-            backlog_stats: OnlineStats::new(),
-            backlog_hist: DistSketch::new(),
-            busy_cycles: 0,
-            idle_ends: 0,
-            autocorr: [CoMoment::new(), CoMoment::new(), CoMoment::new(), CoMoment::new()],
-            busy_history: [0.0; 4],
+            stats: QueueStats::new(),
+            busy_history: [0; 4],
             history_len: 0,
         }
     }
@@ -219,53 +226,28 @@ impl LindleyState {
         let mut batch_work: u64 = 0;
         for _ in 0..count {
             let v = cfg.service.sample(&mut self.rng) as u64;
-            let w = self.s + batch_work;
             if measuring {
-                self.wait.push(w as f64);
-                self.hist.record(w);
+                self.stats.wait.record(self.s + batch_work);
             }
             batch_work += v;
         }
         let backlog = self.s + batch_work;
-        let busy = if backlog > 0 { 1.0 } else { 0.0 };
-        if measuring && backlog > 0 {
-            self.busy_cycles += 1;
-        }
         self.s = backlog.saturating_sub(1);
         if measuring {
-            self.backlog_stats.push(self.s as f64);
-            self.backlog_hist.record(self.s);
-            if self.s == 0 {
-                self.idle_ends += 1;
-            }
-            // Output-process autocorrelation at lags 1..=4
-            // (busy_history[j] = busy indicator j+1 cycles ago).
-            for lag in 1..=4usize {
-                if self.history_len >= lag {
-                    self.autocorr[lag - 1].push(self.busy_history[lag - 1], busy);
-                }
+            let busy = u32::from(backlog > 0);
+            let st = &mut self.stats;
+            st.busy_cycles += u64::from(busy);
+            st.backlog.record(self.s);
+            for (lagged, &then) in st.busy_lags[..self.history_len]
+                .iter_mut()
+                .zip(&self.busy_history)
+            {
+                lagged.push(&[then, busy]);
             }
             // Shift ring: history[0] = most recent.
             self.busy_history.rotate_right(1);
             self.busy_history[0] = busy;
             self.history_len = (self.history_len + 1).min(4);
-        }
-    }
-
-    fn finish(self, cfg: &QueueConfig) -> QueueStats {
-        QueueStats {
-            wait: self.wait,
-            hist: self.hist,
-            backlog: self.backlog_stats,
-            backlog_hist: self.backlog_hist,
-            idle_fraction: self.idle_ends as f64 / cfg.measure_cycles.max(1) as f64,
-            utilization: self.busy_cycles as f64 / cfg.measure_cycles.max(1) as f64,
-            output_autocorr: [
-                self.autocorr[0].correlation(),
-                self.autocorr[1].correlation(),
-                self.autocorr[2].correlation(),
-                self.autocorr[3].correlation(),
-            ],
         }
     }
 }
@@ -330,7 +312,7 @@ pub fn run_queue(cfg: &QueueConfig) -> QueueStats {
     for cycle in 0..(cfg.warmup_cycles + cfg.measure_cycles) {
         st.step(cfg, cycle >= cfg.warmup_cycles);
     }
-    st.finish(cfg)
+    st.stats
 }
 
 /// How often (in cycles) the instrumented queue run pushes progress
@@ -340,9 +322,8 @@ const HEARTBEAT_CHECK_CYCLES: u64 = 65_536;
 /// Like [`run_queue`], but reporting into `tel`: `queue/warmup` and
 /// `queue/measure` spans, progress-ledger cycle deltas, and end-of-run
 /// counters (`queue.cycles`, `queue.messages`, `queue.runs`). Telemetry
-/// is observational only — the returned statistics are bit-identical to
-/// [`run_queue`] for any configuration; with telemetry off this *is*
-/// [`run_queue`].
+/// is observational only — the returned statistics equal [`run_queue`]'s
+/// for any configuration; with telemetry off this *is* [`run_queue`].
 pub fn run_queue_instrumented(cfg: &QueueConfig, tel: &Telemetry) -> QueueStats {
     if !tel.active() {
         return run_queue(cfg);
@@ -374,15 +355,15 @@ pub fn run_queue_instrumented(cfg: &QueueConfig, tel: &Telemetry) -> QueueStats 
         }
     }
     tel.progress().add_cycles(since_push);
-    let stats = st.finish(cfg);
+    let stats = st.stats;
     if tel.metrics_enabled() {
         let reg = tel.registry();
         reg.counter("queue.cycles").add(cfg.warmup_cycles + cfg.measure_cycles);
-        reg.counter("queue.messages").add(stats.wait.count());
+        reg.counter("queue.messages").add(stats.wait.total());
         reg.counter("queue.runs").inc();
         // Fold the exact waiting-time pmf (already collected by the
         // Lindley loop — zero extra hot-path work) into the sketch set.
-        tel.sketches().merge_sketch("queue.wait", &stats.hist);
+        tel.sketches().merge_sketch("queue.wait", &stats.wait);
     }
     stats
 }
@@ -440,7 +421,7 @@ mod tests {
             "{}",
             stats.wait.variance()
         );
-        assert!((stats.utilization - 0.5).abs() < 0.01);
+        assert!((stats.utilization() - 0.5).abs() < 0.01);
     }
 
     #[test]
@@ -491,7 +472,7 @@ mod tests {
             },
             ServiceDist::Constant(1),
         );
-        assert_eq!(stats.wait.max(), 0.0);
+        assert_eq!(stats.wait.max_value(), Some(0));
         assert!((stats.wait.mean()).abs() < 1e-12);
     }
 
@@ -539,8 +520,8 @@ mod tests {
         // Single arrivals, unit service: nobody ever waits behind a
         // batch-mate, and the backlog never exceeds 0 after service:
         // w ≡ 0.
-        assert_eq!(stats.wait.max(), 0.0);
-        assert!((stats.utilization - 0.6).abs() < 0.01);
+        assert_eq!(stats.wait.max_value(), Some(0));
+        assert!((stats.utilization() - 0.6).abs() < 0.01);
     }
 
     #[test]
@@ -570,30 +551,20 @@ mod tests {
         let base = run_queue(&cfg);
         let tel = Telemetry::new(TelemetryConfig::on());
         let inst = run_queue_instrumented(&cfg, &tel);
-        assert_eq!(inst.wait.count(), base.wait.count());
-        assert_eq!(inst.wait.mean().to_bits(), base.wait.mean().to_bits());
-        assert_eq!(inst.wait.variance().to_bits(), base.wait.variance().to_bits());
-        assert_eq!(inst.backlog.mean().to_bits(), base.backlog.mean().to_bits());
-        assert_eq!(inst.idle_fraction.to_bits(), base.idle_fraction.to_bits());
-        for (a, b) in inst.output_autocorr.iter().zip(&base.output_autocorr) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(inst, base);
         assert_eq!(tel.spans().stat("queue/warmup").unwrap().calls, 1);
         assert_eq!(tel.spans().stat("queue/measure").unwrap().calls, 1);
         let reg = tel.registry();
         assert_eq!(reg.counter_value("queue.cycles"), Some(52_000));
-        assert_eq!(reg.counter_value("queue.messages"), Some(base.wait.count()));
+        assert_eq!(reg.counter_value("queue.messages"), Some(base.wait.total()));
         assert_eq!(reg.counter_value("queue.runs"), Some(1));
         assert_eq!(tel.progress().snapshot().cycles, 52_000);
         // The exact waiting-time pmf is mirrored into the sketch set.
         let sk = tel.sketches().get("queue.wait").expect("queue.wait sketch");
-        assert_eq!(sk.total(), base.wait.count());
-        assert!((sk.mean() - base.wait.mean()).abs() < 1e-9);
-        assert!((sk.variance() - base.wait.variance()).abs() < 1e-9);
+        assert_eq!(sk, base.wait);
         // A disabled sink takes the plain path and records nothing.
         let off = Telemetry::off();
-        let quiet = run_queue_instrumented(&cfg, &off);
-        assert_eq!(quiet.wait.mean().to_bits(), base.wait.mean().to_bits());
+        assert_eq!(run_queue_instrumented(&cfg, &off), base);
         assert!(off.registry().is_empty());
     }
 
@@ -603,11 +574,7 @@ mod tests {
             ArrivalDist::UniformSwitch { k: 2, s: 2, p: 0.5 },
             ServiceDist::Constant(1),
         );
-        let a = run_queue(&cfg);
-        let b = run_queue(&cfg);
-        assert_eq!(a.wait.mean(), b.wait.mean());
-        assert_eq!(a.wait.count(), b.wait.count());
-        assert_eq!(a.backlog.mean(), b.backlog.mean());
+        assert_eq!(run_queue(&cfg), run_queue(&cfg));
     }
 
     #[test]
@@ -619,7 +586,7 @@ mod tests {
             ArrivalDist::UniformSwitch { k: 2, s: 2, p: 0.5 },
             ServiceDist::Constant(1),
         );
-        let ac = stats.output_autocorr;
+        let ac = stats.output_autocorr();
         assert!(ac[0] > 0.05, "lag-1 autocorr {:.4} should be clearly positive", ac[0]);
         assert!(ac[0] > ac[1] && ac[1] > ac[2], "autocorrelation should decay: {ac:?}");
         assert!(ac[3] < ac[0] / 2.0, "long-lag memory should fade: {ac:?}");
@@ -634,7 +601,7 @@ mod tests {
             ArrivalDist::Tabulated(vec![0.5, 0.5]),
             ServiceDist::Constant(1),
         );
-        for (lag, &ac) in stats.output_autocorr.iter().enumerate() {
+        for (lag, &ac) in stats.output_autocorr().iter().enumerate() {
             assert!(ac.abs() < 0.01, "lag {} autocorr {ac}", lag + 1);
         }
     }
@@ -647,7 +614,7 @@ mod tests {
             ArrivalDist::UniformSwitch { k: 2, s: 2, p: 0.5 },
             ServiceDist::Constant(1),
         );
-        assert!((stats.idle_fraction - 0.5 / 0.5625).abs() < 0.01, "{}", stats.idle_fraction);
+        assert!((stats.idle_fraction() - 0.5 / 0.5625).abs() < 0.01, "{}", stats.idle_fraction());
         assert!((stats.backlog.mean() - 0.125).abs() < 0.01, "{}", stats.backlog.mean());
     }
 }

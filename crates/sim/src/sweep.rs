@@ -32,7 +32,9 @@
 //!   table (hence `k ≤ 16`).
 //! * Drain: the replication ends exactly where the scalar drain stops —
 //!   one cycle after its last tracked delivery, never before the measure
-//!   window closes — and tracked deliveries are folded in delivery order.
+//!   window closes. The statistics are integer state, so the tracked
+//!   waits rows are folded in ordinal order; the scalar delivery order
+//!   is never replayed.
 //!
 //! The pinned bit-assertion tests in `runner.rs` plus the seeded
 //! property tests in `tests/properties.rs` enforce all of this.
@@ -42,7 +44,7 @@ use crate::network::{
     Routing, HEARTBEAT_CHECK_CYCLES,
 };
 use banyan_obs::msgtrace::RepTrace;
-use banyan_obs::{DistSketch, Telemetry};
+use banyan_obs::Telemetry;
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{RngCore, SeedableRng};
 
@@ -57,8 +59,8 @@ const MAX_DIGIT_TABLE_PORTS: usize = 1 << 22;
 const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Upper bound on one replication's sweep working set, estimated at
-/// about 16 bytes per message per stage (generation record, wait row,
-/// delivery records). Larger configurations run scalar, whose memory
+/// about 16 bytes per message per stage (generation record, sub-stream
+/// copies, wait row). Larger configurations run scalar, whose memory
 /// scales with messages *in flight* rather than with the whole run.
 const MAX_SWEEP_BYTES: u64 = 1 << 28;
 
@@ -199,15 +201,6 @@ struct SweptMsg {
     id: u32,
 }
 
-/// One delivered message in the final delivery-order sort, 8 bytes.
-#[derive(Clone, Copy, Default)]
-struct FinalRec {
-    /// Delivery cycle (final-stage service start).
-    s: u32,
-    /// Tracked-message index or [`UNTRACKED`].
-    id: u32,
-}
-
 /// Reusable buffers for one replication's stage sweep.
 #[derive(Default)]
 struct SweepScratch {
@@ -224,15 +217,10 @@ struct SweepScratch {
     cons: Vec<u32>,
     gen_cons: Vec<u32>,
     busy: Vec<u64>,
-    /// Deliveries per final-stage wire (each delivery-cycle ascending
-    /// because a queue's service starts strictly increase); flattened
-    /// wire-major into `finals` after the tile loop — the exact order a
-    /// single stage-by-stage sweep produces — which is one stable
-    /// counting sort by cycle away from global delivery order.
-    finals_w: Vec<Vec<FinalRec>>,
-    finals: Vec<FinalRec>,
-    fin_tmp: Vec<FinalRec>,
-    counts: Vec<u32>,
+    /// Deliveries per cycle (final-stage service starts, tracked or
+    /// not), indexed by cycle up to the horizon: the conservation
+    /// counters and the slab high-water replay read it.
+    deliveries: Vec<u32>,
     /// Occupancy-sampling scratch (metrics only): per-`(stage, wire)`
     /// arrival and service-start cycles accumulated across tiles, and
     /// the dense `[tick][stage][wire]` occupancy matrix of the current
@@ -254,38 +242,6 @@ enum SweepOutcome {
     /// tracked messages still finish beyond it — the scalar engine's
     /// drain would have panicked here.
     Stuck { count: u64 },
-}
-
-/// Stable counting sort of `finals` by delivery cycle (values
-/// `< buckets`), via `tmp`. On return `counts[c]` is the *inclusive*
-/// end offset of cycle `c` — reused as the per-cycle delivery prefix
-/// for the conservation counters and the slab high-water
-/// reconstruction.
-fn delivery_sort(
-    finals: &mut Vec<FinalRec>,
-    tmp: &mut Vec<FinalRec>,
-    counts: &mut Vec<u32>,
-    buckets: usize,
-) {
-    counts.clear();
-    counts.resize(buckets, 0);
-    for r in finals.iter() {
-        counts[r.s as usize] += 1;
-    }
-    let mut acc = 0u32;
-    for c in counts.iter_mut() {
-        let v = *c;
-        *c = acc;
-        acc += v;
-    }
-    tmp.clear();
-    tmp.resize(finals.len(), FinalRec::default());
-    for r in finals.iter() {
-        let c = &mut counts[r.s as usize];
-        tmp[*c as usize] = *r;
-        *c += 1;
-    }
-    std::mem::swap(finals, tmp);
 }
 
 /// Inverse wiring of every stage transition: `tables[j][q'·k..][..k]`
@@ -332,21 +288,25 @@ struct RecCtx<'a, const OCC: bool> {
     q: usize,
     last: bool,
     horizon: u64,
+    hard_bound: u64,
     dummy: usize,
     digit_table: &'a [u64],
     waits: &'a mut [u32],
     avals: &'a mut Vec<u32>,
     svals: &'a mut Vec<u32>,
-    finals: &'a mut Vec<FinalRec>,
+    deliveries: &'a mut [u32],
     next_subs: &'a mut [Vec<SweptMsg>],
     free: u64,
     max_tracked_s: u64,
+    /// Tracked deliveries past `hard_bound` (only possible at the
+    /// horizon cap).
+    past_bound: u64,
 }
 
 impl<const OCC: bool> RecCtx<'_, OCC> {
     /// Serves one record at this queue: Lindley update, wait write,
-    /// then either a final-delivery record (last stage) or a push into
-    /// the next stage's sub-stream selected by the routing digit.
+    /// then either a delivery count (last stage) or a push into the next
+    /// stage's sub-stream selected by the routing digit.
     #[inline(always)]
     fn do_rec(&mut self, rec: SweptMsg) {
         let a = rec.a;
@@ -361,8 +321,9 @@ impl<const OCC: bool> RecCtx<'_, OCC> {
         if self.last {
             if rec.id != UNTRACKED {
                 self.max_tracked_s = self.max_tracked_s.max(s64);
+                self.past_bound += u64::from(u64::from(s) > self.hard_bound);
             }
-            self.finals.push(FinalRec { s, id: rec.id });
+            self.deliveries[s as usize] += 1;
         } else {
             let d = ((self.digit_table[rec.dest as usize] >> (4 * (self.j + 1))) & 0xF) as usize;
             self.next_subs[self.q * self.k + d].push(SweptMsg {
@@ -415,10 +376,7 @@ fn sweep_attempt<const OCC: bool>(
         cons,
         gen_cons,
         busy,
-        finals_w,
-        finals,
-        fin_tmp,
-        counts,
+        deliveries,
         qav,
         qsv,
         occ,
@@ -437,13 +395,10 @@ fn sweep_attempt<const OCC: bool>(
     gen_cons.resize(ports, 0);
     busy.clear();
     busy.resize(stages * ports, 0);
-    if finals_w.len() < ports {
-        finals_w.resize_with(ports, Vec::new);
-    }
-    for v in finals_w.iter_mut() {
-        v.clear();
-    }
-    finals.clear();
+    // Service starts are clamped to the horizon, so cycles
+    // `0..=horizon` cover every delivery.
+    deliveries.clear();
+    deliveries.resize(horizon as usize + 1, 0);
     let nt = if OCC {
         (horizon / sample_every) as usize
     } else {
@@ -467,6 +422,7 @@ fn sweep_attempt<const OCC: bool>(
     // tracked block — one `min` instead of a per-record branch.
     let dummy = n_tracked as usize;
     let mut max_tracked_s = 0u64;
+    let mut past_bound = 0u64;
     // OCC-off stand-ins for the RecCtx occupancy fields (the const
     // branch in `do_rec` never touches them).
     let (mut no_av, mut no_sv) = (Vec::new(), Vec::new());
@@ -492,7 +448,7 @@ fn sweep_attempt<const OCC: bool>(
             }
             let limit = limit64 as u32;
             // Block `j` of `subs` is written by stage `j` and read by
-            // stage `j + 1`; the final stage writes deliveries instead
+            // stage `j + 1`; the final stage counts deliveries instead
             // (its `rest` slice is empty).
             let take = if last { 0 } else { pk };
             let (done, rest) = subs.split_at_mut(j * pk);
@@ -521,19 +477,17 @@ fn sweep_attempt<const OCC: bool>(
                     q,
                     last,
                     horizon,
+                    hard_bound,
                     dummy,
                     digit_table,
                     waits: &mut *waits,
                     avals: av,
                     svals: sv,
-                    finals: if last {
-                        &mut finals_w[q]
-                    } else {
-                        &mut *fin_tmp
-                    },
+                    deliveries: &mut deliveries[..],
                     next_subs: &mut next[..],
                     free: busy[busy_j + q],
                     max_tracked_s,
+                    past_bound,
                 };
                 if j == 0 {
                     // Stage 0's FIFO is the generation stream itself
@@ -610,6 +564,7 @@ fn sweep_attempt<const OCC: bool>(
                 }
                 busy[busy_j + q] = ctx.free;
                 max_tracked_s = ctx.max_tracked_s;
+                past_bound = ctx.past_bound;
             }
         }
         // Reclaim consumed prefixes: move each sub-stream's unconsumed
@@ -626,13 +581,6 @@ fn sweep_attempt<const OCC: bool>(
                 *c = 0;
             }
         }
-    }
-    // Deliveries were collected per final wire; flatten wire-major.
-    // Within a wire the serve order is already delivery-cycle
-    // ascending, so this is exactly the order the non-tiled sweep
-    // produced and what the stable delivery sort expects.
-    for w in finals_w.iter() {
-        finals.extend_from_slice(w);
     }
     if OCC && nt > 0 {
         // Queue-occupancy samples at ticks T = s_e, 2·s_e, …: length
@@ -670,11 +618,7 @@ fn sweep_attempt<const OCC: bool>(
                 needed: max_tracked_s + 1,
             };
         }
-        let count = finals
-            .iter()
-            .filter(|r| r.id != UNTRACKED && r.s as u64 > hard_bound)
-            .count() as u64;
-        return SweepOutcome::Stuck { count };
+        return SweepOutcome::Stuck { count: past_bound };
     }
     // Accepted: every tracked service start is exact. The replication
     // ends exactly where the scalar drain stops — one cycle after the
@@ -688,34 +632,24 @@ fn sweep_attempt<const OCC: bool>(
     stats.cycles = e;
     stats.injected = n_tracked as u64;
     stats.injected_total = inj[..e as usize].iter().map(|&c| c as u64).sum();
-    delivery_sort(finals, fin_tmp, counts, horizon as usize + 1);
-    let mut delivered_total = 0u64;
-    for rec in finals.iter() {
-        if rec.s as u64 >= e {
-            break;
-        }
-        delivered_total += 1;
-        if rec.id != UNTRACKED {
-            stats.record_delivery(&waits[rec.id as usize * stages..][..stages]);
-        }
+    // Every tracked message is delivered before `e`. The statistics are
+    // integer state, so the waits rows fold in ordinal order.
+    for row in waits[..n_tracked as usize * stages].chunks_exact(stages) {
+        stats.record_delivery(row);
     }
-    debug_assert_eq!(stats.delivered, n_tracked as u64, "tracked delivery gap");
+    let delivered_total: u64 = deliveries[..e as usize].iter().map(|&c| c as u64).sum();
     stats.delivered_total = delivered_total;
     stats.in_flight_at_end = stats.injected_total - delivered_total;
     // Slab high-water reconstruction: the scalar slab grows only when
     // concurrent live messages exceed every previous peak, and within a
     // cycle injections precede the serves that free slots, so the peak
-    // is max over cycles of (live after injecting). `counts` still
-    // holds the delivery sort's inclusive per-cycle end offsets.
+    // is max over cycles of (live after injecting).
     let mut live = 0u64;
     let mut hwm = 0u64;
-    let mut prev_end = 0u32;
-    for t in 0..e as usize {
-        live += inj[t] as u64;
+    for (&injected, &delivered) in inj[..e as usize].iter().zip(&deliveries[..e as usize]) {
+        live += injected as u64;
         hwm = hwm.max(live);
-        let end = counts[t];
-        live -= (end - prev_end) as u64;
-        prev_end = end;
+        live -= delivered as u64;
     }
     *slab_hwm = hwm;
     SweepOutcome::Done { e }
@@ -898,16 +832,7 @@ impl StageSweep {
     ) -> (NetworkStats, Option<RepTrace>) {
         let (stages, ports, k) = (self.stages, self.ports, self.k);
         let cfg = &self.cfg;
-        let mut stats = NetworkStats::new(
-            cfg.stages,
-            cfg.collect_correlations,
-            cfg.collect_stage_histograms,
-        );
-        // Same auto-enable as the scalar drive: with metrics on, capture
-        // per-stage pmfs for the distribution sketches.
-        if OBS && tel.metrics_enabled() && stats.stage_hists.is_none() {
-            stats.stage_hists = Some(vec![DistSketch::new(); stages]);
-        }
+        let mut stats = NetworkStats::new(cfg.stages, cfg.collect_correlations);
         let mut obs = OBS.then(|| ObsState::new(tel, stages));
         let collect_occ = obs.as_ref().is_some_and(|o| o.metrics);
         let sample_every = obs.as_ref().map_or(u64::MAX, |o| o.sample_every);
@@ -1048,48 +973,10 @@ mod tests {
             .map(|i| {
                 let seed = cfg.seed.wrapping_add(i);
                 let swept = sweep.run(seed, &Telemetry::off(), None).0;
-                let scalar = scalar_run(cfg, seed);
-                assert_stats_bit_identical(&swept, &scalar, &format!("{ctx} rep {i}"));
+                assert_eq!(swept, scalar_run(cfg, seed), "{ctx} rep {i}");
                 swept
             })
             .collect()
-    }
-
-    fn assert_stats_bit_identical(a: &NetworkStats, b: &NetworkStats, ctx: &str) {
-        assert_eq!(a.injected, b.injected, "{ctx}: injected");
-        assert_eq!(a.delivered, b.delivered, "{ctx}: delivered");
-        assert_eq!(a.injected_total, b.injected_total, "{ctx}: injected_total");
-        assert_eq!(
-            a.delivered_total, b.delivered_total,
-            "{ctx}: delivered_total"
-        );
-        assert_eq!(a.rejected_total, b.rejected_total, "{ctx}: rejected_total");
-        assert_eq!(a.in_flight_at_end, b.in_flight_at_end, "{ctx}: in_flight");
-        assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
-        for (i, (x, y)) in a.stage_waits.iter().zip(&b.stage_waits).enumerate() {
-            assert_eq!(x.count(), y.count(), "{ctx}: stage {i} count");
-            assert_eq!(
-                x.mean().to_bits(),
-                y.mean().to_bits(),
-                "{ctx}: stage {i} mean"
-            );
-            assert_eq!(
-                x.variance().to_bits(),
-                y.variance().to_bits(),
-                "{ctx}: stage {i} variance"
-            );
-        }
-        assert_eq!(
-            a.total_wait.mean().to_bits(),
-            b.total_wait.mean().to_bits(),
-            "{ctx}: total mean"
-        );
-        assert_eq!(
-            a.total_wait.variance().to_bits(),
-            b.total_wait.variance().to_bits(),
-            "{ctx}: total variance"
-        );
-        assert_eq!(a.total_hist, b.total_hist, "{ctx}: total hist");
     }
 
     #[test]
@@ -1153,21 +1040,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_scalar_with_correlations_and_stage_hists() {
+    fn sweep_matches_scalar_with_correlations() {
         let mut cfg = quick_cfg(2, 5, 0.5, 1);
         cfg.collect_correlations = true;
-        cfg.collect_stage_histograms = true;
-        let swept = assert_sweep_matches_scalar(&cfg, 3, "corr");
-        for (i, sw) in swept.iter().enumerate() {
-            let scalar = scalar_run(&cfg, cfg.seed.wrapping_add(i as u64));
-            let lc = sw.correlations.as_ref().unwrap();
-            let sc = scalar.correlations.as_ref().unwrap();
-            assert_eq!(
-                lc.correlation(1, 2).to_bits(),
-                sc.correlation(1, 2).to_bits(),
-                "rep {i} correlation"
-            );
-            assert_eq!(sw.stage_hists, scalar.stage_hists, "rep {i} stage hists");
+        for sw in assert_sweep_matches_scalar(&cfg, 3, "corr") {
+            assert_eq!(sw.correlations.expect("collected").count(), sw.delivered);
         }
     }
 
@@ -1215,7 +1092,7 @@ mod tests {
             let mut c = cfg.clone();
             c.seed = seed;
             let scalar = NetworkSim::new(c).run_instrumented(&tel_sc);
-            assert_stats_bit_identical(&swept, &scalar, &format!("seed {seed}"));
+            assert_eq!(swept, scalar, "seed {seed}");
         }
         let (a, b) = (tel_sw.registry(), tel_sc.registry());
         for name in [

@@ -1,95 +1,9 @@
-//! Confidence intervals for steady-state simulation output.
+//! Quantiles for confidence intervals on simulation output.
 //!
-//! Waiting times of successive messages are autocorrelated, so the naive
-//! `s/√n` standard error understates the uncertainty. The standard remedy —
-//! and what we use when reporting sim-vs-analysis agreement in
-//! `EXPERIMENTS.md` — is the **method of batch means**: split the run into
-//! `B` contiguous batches, average each batch, and treat the batch averages
-//! as (nearly) independent.
-
-use crate::online::OnlineStats;
-
-/// Batch-means accumulator: feeds observations into fixed-size batches and
-/// keeps streaming statistics of the batch averages.
-#[derive(Clone, Debug)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batches: OnlineStats,
-    overall: OnlineStats,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator with the given batch size (> 0).
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: OnlineStats::new(),
-            overall: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.overall.push(x);
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batch_count(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Overall (per-observation) statistics.
-    pub fn overall(&self) -> &OnlineStats {
-        &self.overall
-    }
-
-    /// Point estimate: mean of completed batch means (falls back to the
-    /// overall mean if no batch completed).
-    pub fn mean(&self) -> f64 {
-        if self.batches.count() > 0 {
-            self.batches.mean()
-        } else {
-            self.overall.mean()
-        }
-    }
-
-    /// Half-width of an approximate `level` confidence interval for the
-    /// steady-state mean, from the batch means. Requires >= 2 completed
-    /// batches; returns `None` otherwise.
-    ///
-    /// `level` is e.g. `0.95`. The critical value is the **Student-t**
-    /// quantile with `batches − 1` degrees of freedom — with few batches
-    /// the batch-mean variance is itself noisy, and the normal value
-    /// would give a silently too-narrow interval (for 3 batches at 95%
-    /// the correct multiplier is 4.30, not 1.96). For large batch counts
-    /// the t quantile converges to the normal one.
-    pub fn half_width(&self, level: f64) -> Option<f64> {
-        if self.batches.count() < 2 {
-            return None;
-        }
-        let df = (self.batches.count() - 1) as f64;
-        let t = student_t_quantile(0.5 + level / 2.0, df);
-        Some(t * self.batches.std_err())
-    }
-
-    /// The confidence interval `(lo, hi)` at `level`, if computable.
-    pub fn interval(&self, level: f64) -> Option<(f64, f64)> {
-        let h = self.half_width(level)?;
-        Some((self.mean() - h, self.mean() + h))
-    }
-}
+//! Replications are independent and seeded `base + i`, so the interval
+//! for a simulated mean is a Student-t interval over replication means:
+//! [`student_t_quantile`] gives its critical value and
+//! [`normal_quantile`] the large-sample limit.
 
 /// Standard-normal quantile (inverse CDF) via the Acklam rational
 /// approximation (~1e-9 absolute accuracy), refined with one Halley step
@@ -343,88 +257,5 @@ mod tests {
                 assert!((back - p).abs() < 1e-10, "df={df} p={p}: {back}");
             }
         }
-    }
-
-    #[test]
-    fn batch_means_basic() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push((i % 10) as f64);
-        }
-        assert_eq!(bm.batch_count(), 10);
-        // Every batch mean is exactly 4.5 → zero variance CI.
-        assert!((bm.mean() - 4.5).abs() < 1e-12);
-        let (lo, hi) = bm.interval(0.95).unwrap();
-        assert!((lo - 4.5).abs() < 1e-9 && (hi - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interval_covers_true_mean_for_iid_data() {
-        // Deterministic LCG noise, mean 0.5.
-        let mut state = 12345u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut bm = BatchMeans::new(100);
-        for _ in 0..100_000 {
-            bm.push(next());
-        }
-        let (lo, hi) = bm.interval(0.99).unwrap();
-        assert!(lo < 0.5 && 0.5 < hi, "({lo}, {hi})");
-        assert!(hi - lo < 0.01, "CI too wide: {}", hi - lo);
-    }
-
-    #[test]
-    fn half_width_uses_t_not_normal_for_few_batches() {
-        // Three batches (df = 2): the 95% multiplier must be 4.30, not
-        // 1.96 — the old normal-based interval was 2.2× too narrow.
-        let mut bm = BatchMeans::new(2);
-        for x in [1.0, 3.0, 2.0, 6.0, 3.0, 9.0] {
-            bm.push(x);
-        }
-        assert_eq!(bm.batch_count(), 3);
-        let hw = bm.half_width(0.95).unwrap();
-        let se = {
-            let mut batches = OnlineStats::new();
-            for b in [2.0, 4.0, 6.0] {
-                batches.push(b);
-            }
-            batches.std_err()
-        };
-        assert!((hw - 4.302_653 * se).abs() < 1e-4 * se, "hw={hw}, se={se}");
-        assert!(hw > 1.96 * se * 2.0, "interval no wider than normal");
-    }
-
-    #[test]
-    fn half_width_approaches_normal_for_many_batches() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..10_000 {
-            bm.push((i % 7) as f64);
-        }
-        let df = (bm.batch_count() - 1) as f64;
-        let hw = bm.half_width(0.95).unwrap();
-        let z_hw = normal_quantile(0.975) * {
-            // Reconstruct the batch std_err via the t relation.
-            hw / student_t_quantile(0.975, df)
-        };
-        assert!((hw - z_hw) / z_hw < 0.005, "t and normal should nearly agree at df={df}");
-    }
-
-    #[test]
-    fn incomplete_batch_not_counted() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..15 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batch_count(), 1);
-        assert_eq!(bm.overall().count(), 15);
-        assert!(bm.half_width(0.95).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_size_panics() {
-        BatchMeans::new(0);
     }
 }

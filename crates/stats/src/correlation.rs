@@ -1,21 +1,27 @@
-//! Streaming correlation matrix over a fixed set of jointly observed
+//! Exact correlation matrix over a fixed set of jointly observed integer
 //! series.
 //!
 //! Table VI of the paper is the matrix of correlations between a message's
 //! waiting times at stages 1..8 of a `k = 2`, `p = 0.5`, `m = 1` network.
 //! Each message that traverses all stages contributes one joint
-//! observation vector.
+//! observation vector of integer waits.
+//!
+//! The estimator keeps exact integer sums `Σxᵢ`, `Σxᵢ²` and `Σxᵢxⱼ`, so
+//! it is independent of the order observations arrive in and merging is
+//! plain addition. A covariance is the exact `i128` numerator
+//! `n·Σxy − Σx·Σy`, divided once when read.
 
-use crate::online::{CoMoment, OnlineStats};
-
-/// Streaming estimator of the full pairwise correlation/covariance matrix
-/// of a `d`-dimensional observation vector.
-#[derive(Clone, Debug)]
+/// Exact estimator of the full pairwise covariance/correlation matrix of
+/// a `d`-dimensional integer observation vector.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorrelationMatrix {
     dim: usize,
-    marginals: Vec<OnlineStats>,
-    /// Upper-triangle (i < j) pair accumulators, row-major.
-    pairs: Vec<CoMoment>,
+    n: u64,
+    /// Per-coordinate `Σxᵢ`.
+    sums: Vec<u128>,
+    /// Packed upper triangle *including* the diagonal, row-major:
+    /// `Σxᵢxⱼ` for `i ≤ j` (the diagonal holds `Σxᵢ²`).
+    products: Vec<u128>,
 }
 
 impl CorrelationMatrix {
@@ -27,8 +33,9 @@ impl CorrelationMatrix {
         assert!(dim > 0, "dimension must be positive");
         CorrelationMatrix {
             dim,
-            marginals: vec![OnlineStats::new(); dim],
-            pairs: vec![CoMoment::new(); dim * (dim - 1) / 2],
+            n: 0,
+            sums: vec![0; dim],
+            products: vec![0; dim * (dim + 1) / 2],
         }
     }
 
@@ -39,52 +46,72 @@ impl CorrelationMatrix {
 
     /// Number of observation vectors seen.
     pub fn count(&self) -> u64 {
-        self.marginals[0].count()
+        self.n
     }
 
-    fn pair_index(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < j && j < self.dim);
-        // Offset of row i within the packed upper triangle.
-        i * self.dim - i * (i + 1) / 2 + (j - i - 1)
+    fn product_index(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i <= j && j < self.dim);
+        // Row r holds dim − r entries, so row i starts at
+        // Σ_{r<i} (dim − r) = i·(2·dim − i + 1)/2.
+        i * (2 * self.dim - i + 1) / 2 + (j - i)
     }
 
     /// Adds one joint observation. `obs.len()` must equal `dim`.
-    pub fn push(&mut self, obs: &[f64]) {
+    pub fn push(&mut self, obs: &[u32]) {
         assert_eq!(obs.len(), self.dim, "observation dimension mismatch");
-        for (s, &x) in self.marginals.iter_mut().zip(obs) {
-            s.push(x);
-        }
-        for i in 0..self.dim {
-            for j in (i + 1)..self.dim {
-                let idx = self.pair_index(i, j);
-                self.pairs[idx].push(obs[i], obs[j]);
+        self.n += 1;
+        let mut idx = 0;
+        for (i, &x) in obs.iter().enumerate() {
+            let x = u64::from(x);
+            self.sums[i] += u128::from(x);
+            for &y in &obs[i..] {
+                self.products[idx] += u128::from(x * u64::from(y));
+                idx += 1;
             }
         }
     }
 
-    /// Marginal statistics of coordinate `i`.
-    pub fn marginal(&self, i: usize) -> &OnlineStats {
-        &self.marginals[i]
+    /// The exact covariance numerator `n·Σxᵢxⱼ − Σxᵢ·Σxⱼ` (`n²` times
+    /// the population covariance).
+    ///
+    /// # Panics
+    /// Panics if a term exceeds `i128`, which takes more than about 2³¹
+    /// observations of values near `u32::MAX`.
+    fn co_numerator(&self, i: usize, j: usize) -> i128 {
+        let (i, j) = if i <= j { (i, j) } else { (j, i) };
+        let term = |v: Option<u128>| {
+            v.and_then(|v| i128::try_from(v).ok())
+                .expect("covariance numerator exceeds i128")
+        };
+        let nxy = term(u128::from(self.n).checked_mul(self.products[self.product_index(i, j)]));
+        nxy - term(self.sums[i].checked_mul(self.sums[j]))
     }
 
-    /// Pearson correlation between coordinates `i` and `j` (1.0 on the
-    /// diagonal).
+    /// Population covariance between coordinates `i` and `j` (variance
+    /// on the diagonal); `0.0` with fewer than two observations.
+    pub fn covariance(&self, i: usize, j: usize) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = self.n as f64;
+        self.co_numerator(i, j) as f64 / (n * n)
+    }
+
+    /// Pearson correlation between coordinates `i` and `j`, in `[-1, 1]`
+    /// (1.0 on the diagonal, 0.0 when either coordinate is constant).
     pub fn correlation(&self, i: usize, j: usize) -> f64 {
         if i == j {
             return 1.0;
         }
-        let (i, j) = if i < j { (i, j) } else { (j, i) };
-        self.pairs[self.pair_index(i, j)].correlation()
-    }
-
-    /// Covariance between coordinates `i` and `j` (variance on the
-    /// diagonal).
-    pub fn covariance(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return self.marginals[i].variance();
+        if self.n < 2 {
+            return 0.0;
         }
-        let (i, j) = if i < j { (i, j) } else { (j, i) };
-        self.pairs[self.pair_index(i, j)].covariance()
+        let denom = (self.co_numerator(i, i) as f64 * self.co_numerator(j, j) as f64).sqrt();
+        if denom == 0.0 {
+            0.0
+        } else {
+            (self.co_numerator(i, j) as f64 / denom).clamp(-1.0, 1.0)
+        }
     }
 
     /// The full correlation matrix, row-major.
@@ -97,24 +124,30 @@ impl CorrelationMatrix {
     /// Variance of the coordinate sum, `Σ_i Σ_j cov(i, j)` — this is the
     /// quantity §V approximates with the geometric covariance model.
     pub fn sum_variance(&self) -> f64 {
-        let mut total = 0.0;
+        if self.n < 2 {
+            return 0.0;
+        }
+        let mut num = 0i128;
         for i in 0..self.dim {
-            total += self.marginals[i].variance();
+            num += self.co_numerator(i, i);
             for j in (i + 1)..self.dim {
-                total += 2.0 * self.pairs[self.pair_index(i, j)].covariance();
+                num += 2 * self.co_numerator(i, j);
             }
         }
-        total
+        let n = self.n as f64;
+        num as f64 / (n * n)
     }
 
-    /// Merges another estimator (same dimension) into this one.
+    /// Merges another estimator (same dimension) into this one: exact
+    /// integer addition, so any merge order gives the same result.
     pub fn merge(&mut self, other: &CorrelationMatrix) {
         assert_eq!(self.dim, other.dim, "dimension mismatch in merge");
-        for (a, b) in self.marginals.iter_mut().zip(&other.marginals) {
-            a.merge(b);
+        self.n += other.n;
+        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
+            *a += b;
         }
-        for (a, b) in self.pairs.iter_mut().zip(&other.pairs) {
-            a.merge(b);
+        for (a, b) in self.products.iter_mut().zip(&other.products) {
+            *a += b;
         }
     }
 }
@@ -123,11 +156,17 @@ impl CorrelationMatrix {
 mod tests {
     use super::*;
 
+    fn of(obs: &[&[u32]]) -> CorrelationMatrix {
+        let mut m = CorrelationMatrix::new(obs[0].len());
+        for o in obs {
+            m.push(o);
+        }
+        m
+    }
+
     #[test]
     fn diagonal_is_one() {
-        let mut m = CorrelationMatrix::new(3);
-        m.push(&[1.0, 2.0, 3.0]);
-        m.push(&[2.0, 1.0, 5.0]);
+        let m = of(&[&[1, 2, 3], &[2, 1, 5]]);
         for i in 0..3 {
             assert_eq!(m.correlation(i, i), 1.0);
         }
@@ -136,9 +175,8 @@ mod tests {
     #[test]
     fn symmetric_access() {
         let mut m = CorrelationMatrix::new(3);
-        for i in 0..50 {
-            let x = i as f64;
-            m.push(&[x, 2.0 * x + (i % 3) as f64, -x]);
+        for i in 0..50u32 {
+            m.push(&[i, 2 * i + i % 3, 100 - i]);
         }
         for i in 0..3 {
             for j in 0..3 {
@@ -151,58 +189,101 @@ mod tests {
     #[test]
     fn perfect_and_anti_correlation() {
         let mut m = CorrelationMatrix::new(3);
-        for i in 0..100 {
-            let x = (i as f64 * 0.77).sin();
-            m.push(&[x, 2.0 * x + 1.0, -x]);
+        for i in 0..100u32 {
+            let x = (i * 37) % 41;
+            m.push(&[x, 3 * x + 7, 50 - x]);
         }
-        assert!((m.correlation(0, 1) - 1.0).abs() < 1e-12);
-        assert!((m.correlation(0, 2) + 1.0).abs() < 1e-12);
-        assert!((m.correlation(1, 2) + 1.0).abs() < 1e-12);
+        // Exact numerators: ±1 up to the one rounding of the division.
+        assert!((m.correlation(0, 1) - 1.0).abs() < 1e-15);
+        assert!((m.correlation(0, 2) + 1.0).abs() < 1e-15);
+        assert!((m.correlation(1, 2) + 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn independent_alternation_is_uncorrelated() {
+        // x has period 2, y period 4 in quadrature: over full periods
+        // the covariance numerator is exactly zero.
+        let mut m = CorrelationMatrix::new(2);
+        for i in 0..400u32 {
+            m.push(&[i % 2, u32::from(i % 4 < 2)]);
+        }
+        assert_eq!(m.covariance(0, 1), 0.0);
+        assert_eq!(m.correlation(0, 1), 0.0);
+    }
+
+    #[test]
+    fn known_covariance() {
+        // means 2.5, 2.5; cov = ((-1.5)(-0.5)+(-0.5)(-1.5)+(0.5)(1.5)+(1.5)(0.5))/4
+        let m = of(&[&[1, 2], &[2, 1], &[3, 4], &[4, 3]]);
+        assert_eq!(m.count(), 4);
+        assert_eq!(m.covariance(0, 1), 0.75);
+        assert_eq!(m.covariance(0, 0), 1.25);
+        assert_eq!(m.correlation(0, 1), 0.6);
+    }
+
+    #[test]
+    fn degenerate_correlation_is_zero() {
+        let mut m = CorrelationMatrix::new(2);
+        for _ in 0..10 {
+            m.push(&[1, 2]);
+        }
+        assert_eq!(m.correlation(0, 1), 0.0);
+        assert_eq!(m.covariance(0, 1), 0.0);
+        // Fewer than two observations are degenerate too.
+        let one = of(&[&[3, 4]]);
+        assert_eq!(one.correlation(0, 1), 0.0);
+        assert_eq!(one.sum_variance(), 0.0);
     }
 
     #[test]
     fn sum_variance_matches_direct_computation() {
         let mut m = CorrelationMatrix::new(3);
-        let mut sums = OnlineStats::new();
-        for i in 0..500 {
-            let a = ((i * 13) % 7) as f64;
-            let b = ((i * 5) % 11) as f64;
-            let c = ((i * 3) % 5) as f64 + 0.5 * a;
+        let mut totals = Vec::new();
+        for i in 0..500u32 {
+            let a = (i * 13) % 7;
+            let b = (i * 5) % 11;
+            let c = (i * 3) % 5 + a / 2;
             m.push(&[a, b, c]);
-            sums.push(a + b + c);
+            totals.push(f64::from(a + b + c));
         }
-        assert!((m.sum_variance() - sums.variance()).abs() < 1e-9);
+        let n = totals.len() as f64;
+        let mean = totals.iter().sum::<f64>() / n;
+        let var = totals.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / n;
+        assert!((m.sum_variance() - var).abs() < 1e-12 * var);
     }
 
     #[test]
     fn merge_equals_concatenation() {
-        let obs: Vec<[f64; 2]> = (0..300)
-            .map(|i| [((i * 17) % 29) as f64, ((i * 11) % 31) as f64])
+        let obs: Vec<[u32; 2]> = (0..300u32)
+            .map(|i| [(i * 17) % 29, (i * 11) % 31])
             .collect();
-        let mut a = CorrelationMatrix::new(2);
-        let mut b = CorrelationMatrix::new(2);
-        for (i, o) in obs.iter().enumerate() {
-            if i < 120 {
-                a.push(o);
-            } else {
-                b.push(o);
+        for split in [0usize, 1, 120, 299, 300] {
+            let mut a = CorrelationMatrix::new(2);
+            let mut b = CorrelationMatrix::new(2);
+            for (i, o) in obs.iter().enumerate() {
+                if i < split {
+                    a.push(o);
+                } else {
+                    b.push(o);
+                }
             }
+            let mut whole = CorrelationMatrix::new(2);
+            for o in &obs {
+                whole.push(o);
+            }
+            let mut ba = b.clone();
+            ba.merge(&a);
+            a.merge(&b);
+            assert_eq!(a, whole, "split {split}");
+            assert_eq!(ba, whole, "split {split}, reversed");
         }
-        a.merge(&b);
-        let mut whole = CorrelationMatrix::new(2);
-        for o in &obs {
-            whole.push(o);
-        }
-        assert_eq!(a.count(), whole.count());
-        assert!((a.correlation(0, 1) - whole.correlation(0, 1)).abs() < 1e-12);
-        assert!((a.covariance(0, 1) - whole.covariance(0, 1)).abs() < 1e-9);
     }
 
     #[test]
     fn correlation_matrix_shape() {
         let mut m = CorrelationMatrix::new(4);
-        for i in 0..20 {
-            m.push(&[i as f64, (i * i) as f64, (i % 3) as f64, 1.5]);
+        for i in 0..20u32 {
+            m.push(&[i, i * i, i % 3, 2]);
         }
         let mat = m.correlation_matrix();
         assert_eq!(mat.len(), 4);
@@ -214,7 +295,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn push_wrong_dimension_panics() {
         let mut m = CorrelationMatrix::new(2);
-        m.push(&[1.0, 2.0, 3.0]);
+        m.push(&[1, 2, 3]);
     }
 
     #[test]

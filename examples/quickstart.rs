@@ -78,7 +78,7 @@ fn main() {
         model.mean_total(),
         model.var_total()
     );
-    let sim99 = stats.total_hist.quantile(0.99).unwrap();
+    let sim99 = stats.total_wait.quantile(0.99).unwrap();
     println!(
         "  total   sim: 99th percentile = {} cycles   (gamma: {:.2})",
         sim99,

@@ -327,6 +327,9 @@ if [ "$QUICK" -eq 1 ]; then
     # guards the simulator's core bit-identity contract, so it runs even
     # in the quick tier (integration suites are otherwise skipped).
     timed "sweep bit-identity" cargo test -q --offline -p banyan-sim --test properties sweep_engine_bit_identity
+    # Replication merge is integer addition: forward, reversed and
+    # shuffled merges of the same replications must compare equal.
+    timed "order-free merge" cargo test -q --offline -p banyan-sim --test properties merge_is_order_free
     echo "verify: OK (quick tier — bench + integration suites not run)"
     exit 0
 fi

@@ -350,7 +350,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         "total waiting: mean = {:.4}, var = {:.4}, p99 = {}",
         stats.total_wait.mean(),
         stats.total_wait.variance(),
-        stats.total_hist.quantile(0.99).unwrap_or(0)
+        stats.total_wait.quantile(0.99).unwrap_or(0)
     );
     // Drift gauges + reports: observed per-stage pmfs vs Theorem 1 /
     // §IV–§V analytics, computed before any artifact is written so the

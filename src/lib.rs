@@ -60,7 +60,7 @@ pub mod prelude {
         run_queue_replicated_instrumented,
     };
     pub use banyan_sim::traffic::{ServiceDist, Workload};
-    pub use banyan_stats::{Gamma, OnlineStats, Sectioned};
+    pub use banyan_stats::Gamma;
 }
 
 #[cfg(test)]

@@ -201,16 +201,16 @@ pub struct SimOutcome {
 /// Runs the replicated simulator for `q` without telemetry (the
 /// daemon's own registry only sees serve-side metrics, never per-query
 /// `net.*` series, which would mix configurations); the waiting-time
-/// pmf is the run's own `total_hist`.
+/// pmf is the run's own `total_wait`.
 pub fn run_sim(q: &Query, settings: SimSettings) -> SimOutcome {
     let stats = run_network_replicated(&sim_config(q, settings), settings.reps, 1);
-    let wait_q = LEVELS.map(|level| stats.total_hist.quantile(level).unwrap_or(0));
+    let total = stats.total_wait;
     SimOutcome {
-        mean: stats.total_wait.mean(),
-        var: stats.total_wait.variance(),
-        wait_q,
+        mean: total.mean(),
+        var: total.variance(),
+        wait_q: LEVELS.map(|level| total.quantile(level).unwrap_or(0)),
         delivered: stats.delivered,
-        sketch: stats.total_hist,
+        sketch: total,
         settings,
     }
 }
