@@ -806,20 +806,20 @@ impl NetworkSim {
                 }
             }
         }
-        // Drain: generous bound — waiting times at ρ < 1 are short
-        // compared to this.
-        let max_drain = 200 * self.cfg.stages as u64 + self.cfg.measure_cycles + 100_000;
+        // Drain: the run fails if and only if tracked messages are still
+        // undelivered after `max_drain` drain cycles, and names how many.
+        let max_drain = max_drain(&self.cfg);
         let mut drained = 0u64;
         {
             let _span = tel.span("net/drain");
             while self.tracked_in_flight > 0 {
-                self.step::<TRACE>(false);
-                drained += 1;
                 assert!(
-                    drained <= max_drain,
+                    drained < max_drain,
                     "drain did not complete: {} tracked messages stuck (load too close to 1?)",
                     self.tracked_in_flight
                 );
+                self.step::<TRACE>(false);
+                drained += 1;
                 if OBS {
                     obs.as_mut().expect("telemetry state").tick(&self);
                 }
@@ -837,6 +837,13 @@ impl NetworkSim {
         let trace = self.trace.take();
         (self.stats, trace)
     }
+}
+
+/// The drain budget: a run fails when tracked messages are still
+/// undelivered this many cycles after the measure window closes —
+/// generous, since waiting times at ρ < 1 are short compared to it.
+pub(crate) fn max_drain(cfg: &NetworkConfig) -> u64 {
+    200 * cfg.stages as u64 + cfg.measure_cycles + 100_000
 }
 
 /// How often (in cycles) an instrumented run pushes progress deltas and

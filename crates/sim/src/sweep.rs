@@ -9,7 +9,11 @@
 //! departure streams plus one Lindley pass, stage by stage. A
 //! [`StageSweep`] is built once per worker (digit table, inverse wiring,
 //! scratch buffers) and runs that worker's replications one at a time,
-//! reusing its buffers, so a worker holds one replication's working set.
+//! reusing its buffers. A replication streams through time tiles: each
+//! tile generates its own cycles, then every stage serves the arrivals
+//! the tile makes final, and each tracked wait goes into its stage pmf
+//! the moment its queue serves it. The working set is one tile plus the
+//! queue backlogs, not the whole run.
 //!
 //! # Bit-identity contract
 //!
@@ -30,23 +34,28 @@
 //! * Digits: the same base-`k` destination digits the scalar engine
 //!   extracts (MSB first), stored 4 bits apiece in a `dest → digits`
 //!   table (hence `k ≤ 16`).
-//! * Drain: the replication ends exactly where the scalar drain stops —
-//!   one cycle after its last tracked delivery, never before the measure
-//!   window closes. The statistics are integer state, so the tracked
-//!   waits rows are folded in ordinal order; the scalar delivery order
-//!   is never replayed.
+//! * Drain: tiles continue until every tracked message is delivered.
+//!   The replication ends exactly where the scalar drain stops — one
+//!   cycle after its last tracked delivery, never before the measure
+//!   window closes — and fails exactly when the scalar drain does: when
+//!   tracked messages are still undelivered after `max_drain` drain
+//!   cycles, with the same count in the same panic text. The statistics
+//!   are integer state, so folding each wait as its queue serves it
+//!   yields the scalar engine's pmfs; the scalar delivery order is never
+//!   replayed.
 //!
 //! The pinned bit-assertion tests in `runner.rs` plus the seeded
 //! property tests in `tests/properties.rs` enforce all of this.
 
 use crate::network::{
-    build_router, validate_and_build_topology, NetworkConfig, NetworkStats, ObsState, Router,
-    Routing, HEARTBEAT_CHECK_CYCLES,
+    build_router, max_drain, validate_and_build_topology, NetworkConfig, NetworkStats, ObsState,
+    Router, Routing, HEARTBEAT_CHECK_CYCLES,
 };
 use banyan_obs::msgtrace::RepTrace;
-use banyan_obs::Telemetry;
+use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{RngCore, SeedableRng};
+use std::time::Instant;
 
 /// Beyond this many ports the `dest → packed digits` table (8 bytes per
 /// port) is not worth its memory. Same spirit as
@@ -58,18 +67,17 @@ const MAX_DIGIT_TABLE_PORTS: usize = 1 << 22;
 /// `Rng::gen_bool` bit-for-bit: same shift, same constant, same compare.
 const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// Upper bound on one replication's sweep working set, estimated at
-/// about 16 bytes per message per stage (generation record, sub-stream
-/// copies, wait row). Larger configurations run scalar, whose memory
+/// Upper bound on one replication's estimated sweep working set (see
+/// [`sweep_eligible`]). Larger configurations run scalar, whose memory
 /// scales with messages *in flight* rather than with the whole run.
 const MAX_SWEEP_BYTES: u64 = 1 << 28;
 
-/// Tile width (cycles) of the staircase sweep's frontier steps: large
-/// enough that the per-(tile, stage, queue) merge bookkeeping
-/// amortizes over many records, small enough that one tile's records
-/// and their waits rows stay cache-resident across all `stages`
-/// touches. 128 measured best on the Table I family (256 ports,
-/// ρ = 0.2..0.8); the curve is flat within 64..256.
+/// Tile width (cycles): each tile generates this many cycles, then runs
+/// every stage's walks over the arrivals they make final. Large enough
+/// that the per-(tile, queue) merge and walk setup amortize over many
+/// records, small enough that one tile's records stay cache-resident
+/// across all `stages` touches. On the Table I family (k = 2, 256 ports)
+/// 32 and 64 measured slower and 256..2048 within noise of 128.
 const TILE_CYCLES: u64 = 128;
 
 /// Can the stage sweep run `cfg`? `Err` names the first requirement the
@@ -83,8 +91,11 @@ const TILE_CYCLES: u64 = 128;
 ///   looked up in a `dest → digits` table packed 4 bits per stage;
 /// * every cycle index up to the drain bound fits in a `u32` (sweep
 ///   records store cycles as `u32`);
-/// * the expected working set (about 16 bytes per message per stage)
-///   stays under 256 MiB.
+/// * the expected working set stays under 256 MiB: one tile of 16-byte
+///   records at every stage, 4 bytes per cycle each for the injection
+///   and delivery counts, 4 bytes per tracked message for its injection
+///   cycle, and with correlations on 4 bytes per stage per tracked
+///   message for its waits row. (A traced run keeps the rows too.)
 pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
     if let Routing::RandomDigit { .. } = cfg.routing {
         return Err("random-digit routing draws a digit per hop; \
@@ -111,19 +122,27 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
                 cfg.k, cfg.stages
             )
         })?;
-    let max_drain = 200 * cfg.stages as u64 + cfg.measure_cycles + 100_000;
     let fits_u32 = cfg
         .warmup_cycles
         .checked_add(cfg.measure_cycles)
-        .and_then(|t| t.checked_add(max_drain))
+        .and_then(|t| t.checked_add(max_drain(cfg)))
         .is_some_and(|run| run <= u32::MAX as u64 - 16);
     if !fits_u32 {
         return Err(
             "warmup + measure + drain bound exceeds the sweep's 32-bit cycle indices".into(),
         );
     }
-    let horizon = cfg.warmup_cycles + cfg.measure_cycles + 4 * cfg.stages as u64 + 64;
-    let bytes = horizon as f64 * ports as f64 * cfg.workload.p * cfg.stages as f64 * 16.0;
+    let stages = cfg.stages as f64;
+    let per_cycle = ports as f64 * cfg.workload.p;
+    let tile = TILE_CYCLES as f64 * per_cycle * stages * 16.0;
+    let cycles = (cfg.warmup_cycles + cfg.measure_cycles + TILE_CYCLES) as f64 * 8.0;
+    let row = if cfg.collect_correlations {
+        4.0 * stages
+    } else {
+        0.0
+    };
+    let tracked = cfg.measure_cycles as f64 * per_cycle * (4.0 + row);
+    let bytes = tile + cycles + tracked;
     if bytes > MAX_SWEEP_BYTES as f64 {
         return Err(format!(
             "an expected working set of {:.0} MiB exceeds the sweep's per-replication bound of {} MiB",
@@ -197,51 +216,20 @@ struct SweptMsg {
     dest: u32,
     /// Service time (cycles per stage).
     size: u32,
-    /// Tracked-message index into the waits array, or [`UNTRACKED`].
+    /// Tracked-message ordinal, or [`UNTRACKED`].
     id: u32,
 }
 
-/// Reusable buffers for one replication's stage sweep.
-#[derive(Default)]
-struct SweepScratch {
-    /// Persistent per-`(stage, wire, digit)` sub-streams, append-only
-    /// across tiles: a record departing stage `j < stages − 1` wire `q`
-    /// toward digit `d` is appended to `subs[j·ports·k + q·k + d]`,
-    /// which is one of the `k` sorted inputs stage `j + 1`'s wire
-    /// merges. `cons` holds each sub-stream's consumed-prefix length
-    /// (the merge's read cursor), `gen_cons` the same cursor for the
-    /// stage-0 generation streams, and `busy` each `(stage, wire)`
-    /// queue's persistent `busy_until` — together they let the tiled
-    /// sweep suspend and resume every queue's merge mid-stream.
-    subs: Vec<Vec<SweptMsg>>,
-    cons: Vec<u32>,
-    gen_cons: Vec<u32>,
-    busy: Vec<u64>,
-    /// Deliveries per cycle (final-stage service starts, tracked or
-    /// not), indexed by cycle up to the horizon: the conservation
-    /// counters and the slab high-water replay read it.
-    deliveries: Vec<u32>,
-    /// Occupancy-sampling scratch (metrics only): per-`(stage, wire)`
-    /// arrival and service-start cycles accumulated across tiles, and
-    /// the dense `[tick][stage][wire]` occupancy matrix of the current
-    /// attempt.
-    qav: Vec<Vec<u32>>,
-    qsv: Vec<Vec<u32>>,
-    occ: Vec<u32>,
-}
-
-/// Result of one sweep attempt at a given horizon.
-enum SweepOutcome {
-    /// Statistics folded; the replication ended at cycle `e`.
-    Done { e: u64 },
-    /// Some tracked message's computed service start reached the
-    /// horizon, so downstream values are untrustworthy; regenerate out
-    /// to at least `needed` cycles and re-sweep.
-    Retry { needed: u64 },
-    /// The horizon already sits past the drain bound and `count`
-    /// tracked messages still finish beyond it — the scalar engine's
-    /// drain would have panicked here.
-    Stuck { count: u64 },
+/// One `(stage, wire)` queue's state carried from tile to tile.
+#[derive(Clone, Copy, Default)]
+struct QueueState {
+    /// The scalar `busy_until`: first cycle the server is free.
+    free: u64,
+    /// Occupancy sampling only: the tick cursor, as a cycle `at` and a
+    /// tick index `tick` (`at = (tick + 1)·sample_every`). Every sample
+    /// tick before `at` precedes some earlier record's push.
+    at: u64,
+    tick: usize,
 }
 
 /// Inverse wiring of every stage transition: `tables[j][q'·k..][..k]`
@@ -273,386 +261,200 @@ fn build_parent_tables(
     Some(tables)
 }
 
-/// Per-record state of one queue's Lindley walk inside [`sweep_attempt`]:
-/// `free` is the scalar `busy_until`, everything else is the stage-pass
-/// context the record handler needs. Kept as a named struct with an
-/// `#[inline(always)]` method instead of a closure: the handler is
-/// called from every merge site and LLVM outlines the closure form,
-/// which costs an out-of-line call (plus a stack round-trip for the
-/// record and the captured state) per record — about 3× the whole
-/// sweep.
-struct RecCtx<'a, const OCC: bool> {
-    stages: usize,
-    j: usize,
-    k: usize,
-    q: usize,
-    last: bool,
-    horizon: u64,
-    hard_bound: u64,
-    dummy: usize,
-    digit_table: &'a [u64],
-    waits: &'a mut [u32],
-    avals: &'a mut Vec<u32>,
-    svals: &'a mut Vec<u32>,
-    deliveries: &'a mut [u32],
-    next_subs: &'a mut [Vec<SweptMsg>],
-    free: u64,
-    max_tracked_s: u64,
-    /// Tracked deliveries past `hard_bound` (only possible at the
-    /// horizon cap).
-    past_bound: u64,
+/// Merges the parent sub-streams' records that arrive before `lim` into
+/// `fifo` — by arrival cycle, ties to the lowest source wire, which is
+/// the scalar serve's insertion order — and advances the parents' read
+/// cursors `cons` past them.
+fn merge_parents(
+    fifo: &mut Vec<SweptMsg>,
+    prev: &[Vec<SweptMsg>],
+    cons: &mut [u32],
+    parents: &[u32],
+    lim: u32,
+) {
+    fifo.clear();
+    let ready = |sub: u32, cons: &[u32]| {
+        let s = &prev[sub as usize][cons[sub as usize] as usize..];
+        &s[..s.partition_point(|r| r.a < lim)]
+    };
+    if let [p0, p1] = *parents {
+        let (s0, s1) = (ready(p0, cons), ready(p1, cons));
+        fifo.resize(s0.len() + s1.len(), SweptMsg::default());
+        let (src, mut i) = ([s0, s1], [0usize; 2]);
+        while i[0] < s0.len() && i[1] < s1.len() {
+            // Index arithmetic, not a branch: the two streams interleave
+            // at random. Same-cycle ties stay on the lower source wire.
+            let pick = usize::from(s1[i[1]].a < s0[i[0]].a);
+            fifo[i[0] + i[1]] = src[pick][i[pick]];
+            i[pick] += 1;
+        }
+        let rest = if i[0] < s0.len() {
+            &s0[i[0]..]
+        } else {
+            &s1[i[1]..]
+        };
+        fifo[i[0] + i[1]..].copy_from_slice(rest);
+        cons[p0 as usize] += s0.len() as u32;
+        cons[p1 as usize] += s1.len() as u32;
+    } else {
+        // Parents are listed source-wire ascending, so a stable sort of
+        // their concatenation by arrival cycle is the k-way merge with
+        // the same tie-break.
+        for &sub in parents {
+            let s = ready(sub, cons);
+            fifo.extend_from_slice(s);
+            cons[sub as usize] += s.len() as u32;
+        }
+        fifo.sort_by_key(|r| r.a);
+    }
 }
 
-impl<const OCC: bool> RecCtx<'_, OCC> {
-    /// Serves one record at this queue: Lindley update, wait write,
-    /// then either a delivery count (last stage) or a push into the next
-    /// stage's sub-stream selected by the routing digit.
-    #[inline(always)]
-    fn do_rec(&mut self, rec: SweptMsg) {
+/// What one stage's queue walks fold into during a tile.
+struct StageSinks<'a> {
+    j: usize,
+    stages: usize,
+    /// First cycle past the scalar drain budget.
+    hard_bound: u64,
+    /// Cycle clamp: service starts at or past it are only known to be
+    /// past the drain bound.
+    h_cap: u64,
+    /// This stage's waiting-time pmf.
+    waits: &'a mut DistSketch,
+    /// Per-ordinal waits rows, stride `stages` (`ROWS` only).
+    rows: &'a mut [u32],
+    /// Last stage: the total-wait pmf, each tracked message's injection
+    /// cycle, deliveries per cycle, and the tracked-delivery tallies.
+    total: &'a mut DistSketch,
+    t0: &'a [u32],
+    deliveries: &'a mut Vec<u32>,
+    delivered: u64,
+    max_tracked_s: u64,
+    /// Tracked deliveries at or past `hard_bound`.
+    stuck: u64,
+    /// Forwarding stages: `dest → packed digits`.
+    digit_table: &'a [u64],
+    /// Occupancy sampling (`OCC` only): the dense
+    /// `[tick][stage][wire]` matrix, `occ_stride = stages · ports`.
+    sample_every: u64,
+    occ: &'a mut Vec<u32>,
+    occ_stride: usize,
+}
+
+/// Serves one queue's FIFO for a tile: the Lindley recursion (`free` is
+/// the scalar `busy_until`, `s` the cycle a record's serve starts), each
+/// tracked wait into the stage pmf, then either a delivery (last stage)
+/// or a push into the next stage's sub-stream selected by the routing
+/// digit, carrying the arrival cycle there. Kept out of line and fed one
+/// contiguous slice so the recursion state stays in registers; `queue`
+/// is the `(stage, wire)` column of the occupancy matrix.
+#[inline(never)]
+fn walk<const LAST: bool, const OCC: bool, const ROWS: bool>(
+    sk: &mut StageSinks<'_>,
+    queue: usize,
+    state: &mut QueueState,
+    fifo: &[SweptMsg],
+    next: &mut [Vec<SweptMsg>],
+) {
+    let QueueState {
+        mut free,
+        mut at,
+        mut tick,
+    } = *state;
+    // A first-stage record is pushed at its arrival cycle, a later
+    // stage's one cycle earlier, during the previous stage's serve.
+    let theta = u64::from(sk.j == 0);
+    for &rec in fifo {
         let a = rec.a;
-        let s64 = (a as u64).max(self.free);
-        self.free = s64 + rec.size as u64;
-        let s = s64.min(self.horizon) as u32;
-        self.waits[(rec.id as usize).min(self.dummy) * self.stages + self.j] = s - a;
-        if OCC {
-            self.avals.push(a);
-            self.svals.push(s);
-        }
-        if self.last {
-            if rec.id != UNTRACKED {
-                self.max_tracked_s = self.max_tracked_s.max(s64);
-                self.past_bound += u64::from(u64::from(s) > self.hard_bound);
+        let s64 = u64::from(a).max(free);
+        free = s64 + u64::from(rec.size);
+        let s = s64.min(sk.h_cap) as u32;
+        if rec.id != UNTRACKED {
+            let id = rec.id as usize;
+            let wait = s - a;
+            sk.waits.record(u64::from(wait));
+            if ROWS {
+                sk.rows[id * sk.stages + sk.j] = wait;
             }
-            self.deliveries[s as usize] += 1;
+            if LAST {
+                let hops = sk.stages as u64 - 1;
+                sk.total
+                    .record(u64::from(s - sk.t0[id]).saturating_sub(hops));
+                sk.delivered += 1;
+                sk.max_tracked_s = sk.max_tracked_s.max(s64);
+                sk.stuck += u64::from(s64 >= sk.hard_bound);
+            }
+        }
+        // Every tick before the cursor `at` precedes an earlier push, so
+        // none lies in [a + θ, at): a record served before `at` spans no
+        // tick.
+        if OCC && s64 >= at {
+            count_ticks(sk, queue, &mut at, &mut tick, u64::from(a) + theta, s64);
+        }
+        if LAST {
+            let si = s as usize;
+            if si >= sk.deliveries.len() {
+                sk.deliveries.resize(si + TILE_CYCLES as usize, 0);
+            }
+            sk.deliveries[si] += 1;
         } else {
-            let d = ((self.digit_table[rec.dest as usize] >> (4 * (self.j + 1))) & 0xF) as usize;
-            self.next_subs[self.q * self.k + d].push(SweptMsg {
-                a: (s64 + 1).min(self.horizon) as u32,
+            let d = (sk.digit_table[rec.dest as usize] >> (4 * (sk.j + 1))) & 0xF;
+            next[d as usize].push(SweptMsg {
+                a: (s64 + 1).min(sk.h_cap) as u32,
                 ..rec
             });
         }
     }
+    *state = QueueState { free, at, tick };
 }
 
-/// One sweep attempt over one replication with injections generated for
-/// cycles `0..horizon`: stage by stage, each wire's FIFO is materialized
-/// by merging its `k` parent sub-streams (sorted by arrival, ties broken
-/// by source wire — the scalar serve's insertion order), walked once
-/// with the per-queue Lindley recursion, and split by next-stage digit
-/// into the `k` sub-streams the next stage merges. Departures leave a
-/// queue at most once per cycle with the service start strictly
-/// increasing, so every sub-stream stays sorted and the merge
-/// reproduces exactly the scalar engine's queue contents — with each
-/// message touched `O(stages)` times and no per-cycle scan at all.
-///
-/// Service starts computed below the horizon are exact — arrivals past
-/// the horizon can only queue *behind* them — so an attempt is accepted
-/// only when every tracked message's final service start is below the
-/// horizon; values at or past it are clamped to the horizon (keeping
-/// them detectably large downstream) and the caller extends the
-/// generation and retries.
-#[allow(clippy::too_many_arguments)]
-fn sweep_attempt<const OCC: bool>(
-    stages: usize,
-    ports: usize,
-    k: usize,
-    horizon: u64,
-    hard_bound: u64,
-    at_cap: bool,
-    gen_q: &[Vec<SweptMsg>],
-    inj: &[u32],
-    digit_table: &[u64],
-    parents: &[Vec<u32>],
-    waits: &mut [u32],
-    stats: &mut NetworkStats,
-    n_tracked: u32,
-    measured_end: u64,
-    scratch: &mut SweepScratch,
-    sample_every: u64,
-    slab_hwm: &mut u64,
-) -> SweepOutcome {
-    let SweepScratch {
-        subs,
-        cons,
-        gen_cons,
-        busy,
-        deliveries,
-        qav,
-        qsv,
-        occ,
-    } = scratch;
-    let pk = ports * k;
-    let nsubs = (stages - 1) * pk;
-    if subs.len() < nsubs {
-        subs.resize_with(nsubs, Vec::new);
+/// Counts a record pushed at cycle `push` and served at `s` into the
+/// occupancy matrix at every sample tick `T` with `push ≤ T ≤ s`,
+/// first moving the queue's tick cursor (`at`, `tick`) up to `push`.
+/// No run ends past the drain bound, so later ticks are skipped.
+#[cold]
+#[inline(never)]
+fn count_ticks(
+    sk: &mut StageSinks<'_>,
+    queue: usize,
+    at: &mut u64,
+    tick: &mut usize,
+    push: u64,
+    s: u64,
+) {
+    while *at < push {
+        *at += sk.sample_every;
+        *tick += 1;
     }
-    for v in subs.iter_mut() {
-        v.clear();
-    }
-    cons.clear();
-    cons.resize(nsubs, 0);
-    gen_cons.clear();
-    gen_cons.resize(ports, 0);
-    busy.clear();
-    busy.resize(stages * ports, 0);
-    // Service starts are clamped to the horizon, so cycles
-    // `0..=horizon` cover every delivery.
-    deliveries.clear();
-    deliveries.resize(horizon as usize + 1, 0);
-    let nt = if OCC {
-        (horizon / sample_every) as usize
-    } else {
-        0
-    };
-    if OCC {
-        occ.clear();
-        occ.resize(nt * stages * ports, 0);
-        if qav.len() < stages * ports {
-            qav.resize_with(stages * ports, Vec::new);
-            qsv.resize_with(stages * ports, Vec::new);
+    let (mut t, mut t_at) = (*tick, *at);
+    while t_at <= s.min(sk.hard_bound) {
+        let idx = t * sk.occ_stride + queue;
+        if idx >= sk.occ.len() {
+            sk.occ.resize((t + 1) * sk.occ_stride, 0);
         }
-        for v in qav.iter_mut() {
-            v.clear();
-        }
-        for v in qsv.iter_mut() {
-            v.clear();
-        }
+        sk.occ[idx] += 1;
+        t += 1;
+        t_at += sk.sample_every;
     }
-    // Untracked records write their wait into a spare dummy row past the
-    // tracked block — one `min` instead of a per-record branch.
-    let dummy = n_tracked as usize;
-    let mut max_tracked_s = 0u64;
-    let mut past_bound = 0u64;
-    // OCC-off stand-ins for the RecCtx occupancy fields (the const
-    // branch in `do_rec` never touches them).
-    let (mut no_av, mut no_sv) = (Vec::new(), Vec::new());
-    // Time-tiled staircase: advance a frontier `t_end` in `TILE_CYCLES`
-    // steps; within one pass, stage `j` consumes the arrivals up to
-    // `t_end − j`. Stage `j − 1` runs first in the same pass with limit
-    // `t_end − j + 1`, and anything it consumes in a *later* pass
-    // departs at `s + 1 > t_end − j + 2`, so every stage-`j` arrival
-    // `≤ t_end − j` already sits in its sub-stream when stage `j` runs.
-    // Each pass therefore sees exactly the records a full
-    // stage-by-stage sweep would, just in cache-sized slices: a tile's
-    // records and their waits rows stay hot across all `stages`
-    // touches instead of being streamed from memory once per stage.
-    let final_t = horizon + stages as u64;
-    let mut t_end = 0u64;
-    while t_end < final_t {
-        t_end = (t_end + TILE_CYCLES).min(final_t);
-        for j in 0..stages {
-            let last = j + 1 == stages;
-            let limit64 = t_end.saturating_sub(j as u64).min(horizon);
-            if limit64 == 0 {
-                continue;
-            }
-            let limit = limit64 as u32;
-            // Block `j` of `subs` is written by stage `j` and read by
-            // stage `j + 1`; the final stage counts deliveries instead
-            // (its `rest` slice is empty).
-            let take = if last { 0 } else { pk };
-            let (done, rest) = subs.split_at_mut(j * pk);
-            let prev: &[Vec<SweptMsg>] = if j == 0 { &[] } else { &done[(j - 1) * pk..] };
-            let next = &mut rest[..take];
-            let par_j = &parents[j];
-            let busy_j = j * ports;
-            for q in 0..ports {
-                let (av, sv) = if OCC {
-                    (&mut qav[busy_j + q], &mut qsv[busy_j + q])
-                } else {
-                    (&mut no_av, &mut no_sv)
-                };
-                // The per-queue Lindley walk over this wire's FIFO:
-                // `free` is the scalar `busy_until` (persisted across
-                // tiles), `s` the cycle the head's serve starts, and
-                // the record leaves carrying its arrival cycle at the
-                // next stage. `RecCtx::do_rec` is forced inline at
-                // every merge site — as a closure LLVM outlines it,
-                // and an out-of-line call per record roughly triples
-                // the whole sweep's cost.
-                let mut ctx = RecCtx::<OCC> {
-                    stages,
-                    j,
-                    k,
-                    q,
-                    last,
-                    horizon,
-                    hard_bound,
-                    dummy,
-                    digit_table,
-                    waits: &mut *waits,
-                    avals: av,
-                    svals: sv,
-                    deliveries: &mut deliveries[..],
-                    next_subs: &mut next[..],
-                    free: busy[busy_j + q],
-                    max_tracked_s,
-                    past_bound,
-                };
-                if j == 0 {
-                    // Stage 0's FIFO is the generation stream itself
-                    // (cycle-then-port order — the scalar inject
-                    // order).
-                    let sq = &gen_q[q][..];
-                    let mut i = gen_cons[q] as usize;
-                    while i < sq.len() && sq[i].a <= limit {
-                        ctx.do_rec(sq[i]);
-                        i += 1;
-                    }
-                    gen_cons[q] = i as u32;
-                } else if k == 2 {
-                    let cbase = (j - 1) * pk;
-                    let p0 = par_j[q * 2] as usize;
-                    let p1 = par_j[q * 2 + 1] as usize;
-                    let s0 = &prev[p0][..];
-                    let s1 = &prev[p1][..];
-                    let mut i0 = cons[cbase + p0] as usize;
-                    let mut i1 = cons[cbase + p1] as usize;
-                    loop {
-                        // Exhausted streams read as `u32::MAX`, always
-                        // past `limit` (cycles fit `u32::MAX − 16`).
-                        let a0 = if i0 < s0.len() { s0[i0].a } else { u32::MAX };
-                        let a1 = if i1 < s1.len() { s1[i1].a } else { u32::MAX };
-                        // `<=` keeps same-cycle ties on the lower
-                        // source wire, the scalar insertion order.
-                        if a0 <= a1 {
-                            if a0 > limit {
-                                break;
-                            }
-                            ctx.do_rec(s0[i0]);
-                            i0 += 1;
-                        } else {
-                            if a1 > limit {
-                                break;
-                            }
-                            ctx.do_rec(s1[i1]);
-                            i1 += 1;
-                        }
-                    }
-                    cons[cbase + p0] = i0 as u32;
-                    cons[cbase + p1] = i1 as u32;
-                } else {
-                    let cbase = (j - 1) * pk;
-                    let base = q * k;
-                    let mut idx = [0usize; 16];
-                    for (i, &sub) in par_j[base..base + k].iter().enumerate() {
-                        idx[i] = cons[cbase + sub as usize] as usize;
-                    }
-                    loop {
-                        let mut best = usize::MAX;
-                        let mut best_a = u32::MAX;
-                        for (i, &sub) in par_j[base..base + k].iter().enumerate() {
-                            let s = &prev[sub as usize];
-                            // Strict `<` with ascending `i`: ties go to
-                            // the lowest source wire (parents are
-                            // wire-sorted).
-                            if idx[i] < s.len() && s[idx[i]].a < best_a {
-                                best_a = s[idx[i]].a;
-                                best = i;
-                            }
-                        }
-                        if best_a > limit {
-                            break;
-                        }
-                        let rec = prev[par_j[base + best] as usize][idx[best]];
-                        idx[best] += 1;
-                        ctx.do_rec(rec);
-                    }
-                    for (i, &sub) in par_j[base..base + k].iter().enumerate() {
-                        cons[cbase + sub as usize] = idx[i] as u32;
-                    }
-                }
-                busy[busy_j + q] = ctx.free;
-                max_tracked_s = ctx.max_tracked_s;
-                past_bound = ctx.past_bound;
-            }
-        }
-        // Reclaim consumed prefixes: move each sub-stream's unconsumed
-        // tail (records still past the frontier — the queue backlog) to
-        // the front and reset its cursor. This keeps every sub-stream
-        // tile-sized, so the whole scratch recycles a few dozen MB of
-        // hot pages instead of materializing every stage's full stream.
-        for (v, c) in subs.iter_mut().zip(cons.iter_mut()) {
-            let n = *c as usize;
-            if n > 0 {
-                let len = v.len();
-                v.copy_within(n.., 0);
-                v.truncate(len - n);
-                *c = 0;
-            }
-        }
-    }
-    if OCC && nt > 0 {
-        // Queue-occupancy samples at ticks T = s_e, 2·s_e, …: length
-        // after the serve of cycle T − 1 is (#pushes ≤ T − 1) −
-        // (#pops ≤ T − 1). A first-stage push happens at the arrival
-        // cycle itself; later stages are pushed during the previous
-        // stage's serve, one cycle before their arrival here.
-        for j in 0..stages {
-            let theta_off = u32::from(j == 0);
-            for q in 0..ports {
-                let avals = &qav[j * ports + q];
-                let svals = &qsv[j * ports + q];
-                let end = avals.len();
-                let (mut pi, mut si) = (0, 0);
-                for ti in 0..nt {
-                    let t = ((ti as u64 + 1) * sample_every) as u32;
-                    while pi < end && avals[pi] <= t - theta_off {
-                        pi += 1;
-                    }
-                    while si < end && svals[si] < t {
-                        si += 1;
-                    }
-                    if pi > si {
-                        occ[(ti * stages + j) * ports + q] = (pi - si) as u32;
-                    } else if si >= end {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    if max_tracked_s >= horizon {
-        if !at_cap {
-            return SweepOutcome::Retry {
-                needed: max_tracked_s + 1,
-            };
-        }
-        return SweepOutcome::Stuck { count: past_bound };
-    }
-    // Accepted: every tracked service start is exact. The replication
-    // ends exactly where the scalar drain stops — one cycle after the
-    // last tracked delivery, but never before the measure window
-    // closes.
-    let e = if n_tracked == 0 {
-        measured_end
-    } else {
-        measured_end.max(max_tracked_s + 1)
-    };
-    stats.cycles = e;
-    stats.injected = n_tracked as u64;
-    stats.injected_total = inj[..e as usize].iter().map(|&c| c as u64).sum();
-    // Every tracked message is delivered before `e`. The statistics are
-    // integer state, so the waits rows fold in ordinal order.
-    for row in waits[..n_tracked as usize * stages].chunks_exact(stages) {
-        stats.record_delivery(row);
-    }
-    let delivered_total: u64 = deliveries[..e as usize].iter().map(|&c| c as u64).sum();
-    stats.delivered_total = delivered_total;
-    stats.in_flight_at_end = stats.injected_total - delivered_total;
-    // Slab high-water reconstruction: the scalar slab grows only when
-    // concurrent live messages exceed every previous peak, and within a
-    // cycle injections precede the serves that free slots, so the peak
-    // is max over cycles of (live after injecting).
-    let mut live = 0u64;
-    let mut hwm = 0u64;
-    for (&injected, &delivered) in inj[..e as usize].iter().zip(&deliveries[..e as usize]) {
-        live += injected as u64;
-        hwm = hwm.max(live);
-        live -= delivered as u64;
-    }
-    *slab_hwm = hwm;
-    SweepOutcome::Done { e }
+}
+
+/// One replication's streaming state: the generator, the tile frontier,
+/// the statistics folded so far and the last stage's tallies.
+struct Rep {
+    rng: InlineRng,
+    /// First cycle not yet generated.
+    upto: u64,
+    /// Exclusive tile frontier: stage `j` has served every arrival
+    /// before cycle `front − j`.
+    front: u64,
+    /// Tracked messages generated so far (the next tracked ordinal).
+    tracked: u32,
+    stats: NetworkStats,
+    max_tracked_s: u64,
+    /// Tracked deliveries at or past the drain bound.
+    stuck: u64,
+    /// Wall time spent generating and serving (metrics only).
+    gen_ns: u64,
+    serve_ns: u64,
 }
 
 /// The stage-sweep engine for one configuration: built once per worker
@@ -668,22 +470,43 @@ pub(crate) struct StageSweep {
     digit_table: Vec<u64>,
     /// Inverse wiring of every stage (see [`build_parent_tables`]).
     parents: Vec<Vec<u32>>,
-    /// Generated injections per stage-0 wire, in FIFO arrival order.
-    gen_q: Vec<Vec<SweptMsg>>,
-    /// Injections per cycle.
+    /// End of the measure window.
+    measured_end: u64,
+    /// The first cycle past the scalar drain budget: a tracked delivery
+    /// here or later fails the run.
+    hard_bound: u64,
+    /// The one cycle clamp, `hard_bound + 2`: generation stops below it
+    /// and service starts saturate at it, so every cycle fits `u32` and a
+    /// clamped value still reads as past the drain bound.
+    h_cap: u64,
+    /// The current tile's injections per stage-0 wire, in FIFO arrival
+    /// order (the scalar inject scans ports ascending within a cycle).
+    gen: Vec<Vec<SweptMsg>>,
+    /// Per-`(stage, wire, digit)` sub-streams: a record departing stage
+    /// `j < stages − 1` wire `q` toward digit `d` is appended to
+    /// `subs[j·ports·k + q·k + d]`, one of the `k` sorted inputs stage
+    /// `j + 1`'s wire merges. `cons` holds each one's consumed-prefix
+    /// length; consumed prefixes are dropped after every tile, so each
+    /// holds at most a tile plus the queue's backlog.
+    subs: Vec<Vec<SweptMsg>>,
+    cons: Vec<u32>,
+    /// Per-`(stage, wire)` queue state.
+    queues: Vec<QueueState>,
+    /// Reused FIFO a merging stage's queue is merged into, then walked.
+    fifo: Vec<SweptMsg>,
+    /// Injections and deliveries (last-stage service starts) per cycle:
+    /// the conservation counters and the slab high-water replay read
+    /// them.
     inj: Vec<u32>,
-    /// Per-stage waits, stride `stages`, indexed by tracked ordinal, plus
-    /// one spare row that absorbs untracked records' writes.
-    waits: Vec<u32>,
-    scratch: SweepScratch,
-}
-
-/// Generation cursor of one replication: its RNG state, the first cycle
-/// not yet generated, and the tracked injections so far.
-struct GenState {
-    rng: InlineRng,
-    upto: u64,
-    tracked: u32,
+    deliveries: Vec<u32>,
+    /// Injection cycle per tracked ordinal (for the total wait).
+    t0: Vec<u32>,
+    /// Per-stage waits rows by tracked ordinal, kept only when something
+    /// needs whole rows: correlations or message tracing.
+    rows: Vec<u32>,
+    /// Occupancy samples (metrics only): the dense `[tick][stage][wire]`
+    /// matrix.
+    occ: Vec<u32>,
 }
 
 impl StageSweep {
@@ -703,6 +526,8 @@ impl StageSweep {
         let (k, stages) = (cfg.k as usize, cfg.stages as usize);
         let parents = build_parent_tables(&router, ports, k, stages)
             .expect("omega and butterfly wirings are k-in-regular");
+        let measured_end = cfg.warmup_cycles + cfg.measure_cycles;
+        let hard_bound = measured_end + max_drain(cfg);
         StageSweep {
             digit_table: (0..ports)
                 .map(|d| pack_digits(d as u64, cfg.k as u64, stages))
@@ -712,10 +537,19 @@ impl StageSweep {
             ports,
             k,
             stages,
-            gen_q: vec![Vec::new(); ports],
+            measured_end,
+            hard_bound,
+            h_cap: hard_bound + 2,
+            gen: vec![Vec::new(); ports],
+            subs: vec![Vec::new(); (stages - 1) * ports * k],
+            cons: vec![0; (stages - 1) * ports * k],
+            queues: vec![QueueState::default(); stages * ports],
+            fifo: Vec::new(),
             inj: Vec::new(),
-            waits: Vec::new(),
-            scratch: SweepScratch::default(),
+            deliveries: Vec::new(),
+            t0: Vec::new(),
+            rows: Vec::new(),
+            occ: Vec::new(),
             cfg: cfg.clone(),
         }
     }
@@ -731,213 +565,345 @@ impl StageSweep {
         tel: &Telemetry,
         rt: Option<RepTrace>,
     ) -> (NetworkStats, Option<RepTrace>) {
-        match (tel.active(), rt.is_some()) {
-            (true, true) => self.drive::<true, true>(seed, tel, rt),
-            (true, false) => self.drive::<true, false>(seed, tel, rt),
-            (false, true) => self.drive::<false, true>(seed, tel, rt),
-            (false, false) => self.drive::<false, false>(seed, tel, rt),
+        let occ = tel.metrics_enabled();
+        let rows = self.cfg.collect_correlations;
+        match (rt.is_some(), occ, rows) {
+            (false, false, false) => self.replicate::<false, false, false>(seed, tel, rt),
+            (false, false, true) => self.replicate::<false, false, true>(seed, tel, rt),
+            (false, true, false) => self.replicate::<false, true, false>(seed, tel, rt),
+            (false, true, true) => self.replicate::<false, true, true>(seed, tel, rt),
+            (true, false, _) => self.replicate::<true, false, true>(seed, tel, rt),
+            (true, true, _) => self.replicate::<true, true, true>(seed, tel, rt),
         }
     }
 
     /// Extends the replication's injections to cycle `to`, appending each
-    /// hit to its stage-0 wire's stream `gen_q[wire]` — within a wire that
-    /// is exactly the queue's FIFO arrival order, because the scalar
-    /// inject scans ports ascending within a cycle. The generator state
-    /// lives in registers for each heartbeat-sized chunk, and the draw
-    /// sequence — one Bernoulli word per port per cycle, plus the arrival
-    /// tail on hits — is the scalar engine's, verbatim.
-    ///
-    /// Generating past the replication's eventual end cycle is harmless:
-    /// its statistics never depend on the RNG state after its final
-    /// cycle, and injections at cycle `t` are a pure prefix function of
-    /// the stream, so every record with `a < e` is the one the scalar run
-    /// makes.
-    fn generate_to<const OBS: bool, const TRACE: bool>(
+    /// hit to its stage-0 wire's stream `gen[wire]`. The draw sequence —
+    /// one Bernoulli word per port per cycle, plus the arrival tail on
+    /// hits — is the scalar engine's, verbatim. Injections at cycle `t`
+    /// are a pure prefix function of the stream, so generating past the
+    /// replication's end cycle changes nothing before it.
+    fn generate<const TRACE: bool>(
         &mut self,
-        g: &mut GenState,
+        rep: &mut Rep,
         to: u64,
         mut rt: Option<&mut RepTrace>,
-        tel: &Telemetry,
     ) {
         let p = self.cfg.workload.p;
         let (ports, k, stages) = (self.ports, self.k, self.stages);
         let dig_k = self.cfg.k as u64;
         let tracked_from = self.cfg.warmup_cycles;
-        let tracked_to = self.cfg.warmup_cycles + self.cfg.measure_cycles;
         let workload = &self.cfg.workload;
         let digit_table = &self.digit_table[..];
         let router = &self.router;
-        while g.upto < to {
-            let next = (g.upto + HEARTBEAT_CHECK_CYCLES).min(to);
-            let mut rng = g.rng;
-            for t in g.upto..next {
-                let tracked = t >= tracked_from && t < tracked_to;
-                let mut injected = 0u32;
-                for input in 0..ports {
-                    let w = rng.next_u64();
-                    // Bit-exact `gen_bool`: same shift, scale, compare.
-                    if ((w >> 11) as f64 * F64_SCALE) < p {
-                        let (dest, size) =
-                            workload.sample_arrival_tail(&mut rng, input as u64, ports as u64);
-                        let digit = (digit_table[dest as usize] & 0xF) as usize;
-                        let q = router.next(0, ports, k, input, digit);
-                        let id = if tracked {
-                            // Generation visits injections in the scalar
-                            // inject order, so the tracked counter *is*
-                            // the cross-engine message ordinal and
-                            // sampling here selects the exact set the
-                            // scalar engine selects. Waits are filled in
-                            // once the sweep is accepted.
-                            let i = g.tracked;
-                            g.tracked += 1;
-                            if TRACE {
-                                let tr = rt.as_deref_mut().expect("trace state");
-                                if tr.sampled(u64::from(i)) {
-                                    let idx = tr.begin(u64::from(i), t);
-                                    tr.set_digits_from_dest(idx, dest, dig_k, stages);
-                                }
+        let mut rng = rep.rng;
+        for t in rep.upto..to {
+            let tracked = t >= tracked_from && t < self.measured_end;
+            let mut injected = 0u32;
+            for input in 0..ports {
+                let w = rng.next_u64();
+                // Bit-exact `gen_bool`: same shift, scale, compare.
+                if ((w >> 11) as f64 * F64_SCALE) < p {
+                    let (dest, size) =
+                        workload.sample_arrival_tail(&mut rng, input as u64, ports as u64);
+                    let digit = (digit_table[dest as usize] & 0xF) as usize;
+                    let q = router.next(0, ports, k, input, digit);
+                    let id = if tracked {
+                        // Generation visits injections in the scalar
+                        // inject order, so the tracked counter *is* the
+                        // cross-engine message ordinal and sampling here
+                        // selects the exact set the scalar engine
+                        // selects.
+                        let i = rep.tracked;
+                        rep.tracked += 1;
+                        self.t0.push(t as u32);
+                        if TRACE {
+                            let tr = rt.as_deref_mut().expect("trace state");
+                            if tr.sampled(u64::from(i)) {
+                                let idx = tr.begin(u64::from(i), t);
+                                tr.set_digits_from_dest(idx, dest, dig_k, stages);
                             }
-                            i
-                        } else {
-                            UNTRACKED
-                        };
-                        self.gen_q[q].push(SweptMsg {
-                            a: t as u32,
-                            dest: dest as u32,
-                            size,
-                            id,
-                        });
-                        injected += 1;
-                    }
+                        }
+                        i
+                    } else {
+                        UNTRACKED
+                    };
+                    self.gen[q].push(SweptMsg {
+                        a: t as u32,
+                        dest: dest as u32,
+                        size,
+                        id,
+                    });
+                    injected += 1;
                 }
-                self.inj.push(injected);
             }
-            g.rng = rng;
-            g.upto = next;
-            if OBS {
-                tel.heartbeat_tick();
+            self.inj.push(injected);
+        }
+        rep.rng = rng;
+        rep.upto = rep.upto.max(to);
+    }
+
+    /// Runs one stage's walks for the current tile: every wire serves
+    /// its arrivals before cycle `lim` — stage 0 straight from the
+    /// generation stream, a merging stage from its parents merged into
+    /// the reused FIFO buffer.
+    fn serve_stage<const LAST: bool, const OCC: bool, const ROWS: bool>(
+        &mut self,
+        rep: &mut Rep,
+        j: usize,
+        lim: u32,
+        sample_every: u64,
+    ) {
+        let (ports, k, stages) = (self.ports, self.k, self.stages);
+        let pk = ports * k;
+        let mut sk = StageSinks {
+            j,
+            stages,
+            hard_bound: self.hard_bound,
+            h_cap: self.h_cap,
+            waits: &mut rep.stats.stage_waits[j],
+            rows: &mut self.rows[..],
+            total: &mut rep.stats.total_wait,
+            t0: &self.t0[..],
+            deliveries: &mut self.deliveries,
+            delivered: 0,
+            max_tracked_s: rep.max_tracked_s,
+            stuck: rep.stuck,
+            digit_table: &self.digit_table[..],
+            sample_every,
+            occ: &mut self.occ,
+            occ_stride: stages * ports,
+        };
+        // Block `j − 1` of `subs` feeds stage `j`; stage `j` writes block
+        // `j` (the final stage counts deliveries instead).
+        let (done, rest) = self.subs.split_at_mut(j * pk);
+        let next_block = &mut rest[..if LAST { 0 } else { pk }];
+        for q in 0..ports {
+            let next = &mut next_block[if LAST { 0..0 } else { q * k..(q + 1) * k }];
+            let queue = j * ports + q;
+            let state = &mut self.queues[queue];
+            if j == 0 {
+                walk::<LAST, OCC, ROWS>(&mut sk, queue, state, &self.gen[q], next);
+                self.gen[q].clear();
+            } else {
+                merge_parents(
+                    &mut self.fifo,
+                    &done[(j - 1) * pk..],
+                    &mut self.cons[(j - 1) * pk..j * pk],
+                    &self.parents[j][q * k..(q + 1) * k],
+                    lim,
+                );
+                walk::<LAST, OCC, ROWS>(&mut sk, queue, state, &self.fifo, next);
             }
+        }
+        rep.stats.delivered += sk.delivered;
+        rep.max_tracked_s = sk.max_tracked_s;
+        rep.stuck = sk.stuck;
+    }
+
+    /// Advances the replication to tile frontier `front`: generates the
+    /// cycles before it (below the clamp), then runs the staircase —
+    /// stage `j` serves its arrivals before `front − j`. Stage `j − 1`
+    /// ran first with limit `front − j + 1`, and anything it serves in a
+    /// later tile departs strictly after that, so every stage-`j` arrival
+    /// before the limit already sits in its sub-stream. Each tile thus
+    /// serves exactly the records a whole-run stage-by-stage sweep would,
+    /// in cache-sized slices.
+    fn tile<const TRACE: bool, const OCC: bool, const ROWS: bool>(
+        &mut self,
+        rep: &mut Rep,
+        front: u64,
+        rt: Option<&mut RepTrace>,
+        tel: &Telemetry,
+        obs: Option<&ObsState<'_>>,
+    ) {
+        let timed = obs.is_some_and(|o| o.metrics);
+        let t_gen = timed.then(Instant::now);
+        let from = rep.upto;
+        self.generate::<TRACE>(rep, front.min(self.h_cap), rt);
+        if ROWS {
+            self.rows.resize(rep.tracked as usize * self.stages, 0);
+        }
+        if obs.is_some() && from / HEARTBEAT_CHECK_CYCLES != rep.upto / HEARTBEAT_CHECK_CYCLES {
+            tel.heartbeat_tick();
+        }
+        let t_serve = timed.then(Instant::now);
+        rep.front = front;
+        let sample_every = obs.map_or(u64::MAX, |o| o.sample_every);
+        for j in 0..self.stages {
+            let lim = front.saturating_sub(j as u64).min(self.h_cap + 1) as u32;
+            if lim == 0 {
+                continue;
+            }
+            if j + 1 == self.stages {
+                self.serve_stage::<true, OCC, ROWS>(rep, j, lim, sample_every);
+            } else {
+                self.serve_stage::<false, OCC, ROWS>(rep, j, lim, sample_every);
+            }
+        }
+        // Drop consumed prefixes: each sub-stream keeps only its
+        // unconsumed tail (records past the frontier — the queue
+        // backlog), so the scratch recycles a few hot pages instead of
+        // growing with the run.
+        for (v, c) in self.subs.iter_mut().zip(self.cons.iter_mut()) {
+            let n = *c as usize;
+            if n > 0 {
+                v.drain(..n);
+                *c = 0;
+            }
+        }
+        if let (Some(t_gen), Some(t_serve)) = (t_gen, t_serve) {
+            rep.gen_ns += (t_serve - t_gen).as_nanos() as u64;
+            rep.serve_ns += t_serve.elapsed().as_nanos() as u64;
         }
     }
 
-    /// The replication protocol, monomorphized like the scalar drive:
-    /// generate the whole injection stream, then solve it stage by stage
-    /// ([`sweep_attempt`]), extending the horizon until every tracked
-    /// message's delivery is exact.
-    fn drive<const OBS: bool, const TRACE: bool>(
+    /// The end cycle once the replication is complete: every tracked
+    /// message delivered and the last stage has served every arrival up
+    /// to the end cycle `e` (an arrival at `e` is still queued at a
+    /// sample tick `e`). Panics, as the scalar drain does, when tracked
+    /// deliveries fall past the drain budget.
+    fn finished(&self, rep: &Rep) -> Option<u64> {
+        if rep.stats.delivered < u64::from(rep.tracked) {
+            return None;
+        }
+        assert!(
+            rep.stuck == 0,
+            "drain did not complete: {} tracked messages stuck (load too close to 1?)",
+            rep.stuck
+        );
+        let e = if rep.tracked == 0 {
+            self.measured_end
+        } else {
+            self.measured_end.max(rep.max_tracked_s + 1)
+        };
+        (rep.front >= e + self.stages as u64).then_some(e)
+    }
+
+    /// One replication, monomorphized over message tracing, occupancy
+    /// sampling and kept waits rows.
+    fn replicate<const TRACE: bool, const OCC: bool, const ROWS: bool>(
         &mut self,
         seed: u64,
         tel: &Telemetry,
         mut rt: Option<RepTrace>,
     ) -> (NetworkStats, Option<RepTrace>) {
-        let (stages, ports, k) = (self.stages, self.ports, self.k);
-        let cfg = &self.cfg;
-        let mut stats = NetworkStats::new(cfg.stages, cfg.collect_correlations);
-        let mut obs = OBS.then(|| ObsState::new(tel, stages));
-        let collect_occ = obs.as_ref().is_some_and(|o| o.metrics);
-        let sample_every = obs.as_ref().map_or(u64::MAX, |o| o.sample_every);
-        let w_cycles = cfg.warmup_cycles;
-        let measured_end = w_cycles + cfg.measure_cycles;
-        let max_drain = 200 * stages as u64 + cfg.measure_cycles + 100_000;
-        // The cycle at which the scalar drain's `drained <= max_drain`
-        // assertion allows the last delivery; anything later panics.
-        let hard_bound = measured_end + max_drain;
-        let h_cap = hard_bound + 2;
-        let slack = 4 * stages as u64 + 64;
-        // Pre-size each wire's stream for its expected arrival count
-        // (cycles × p, one Bernoulli per input port spread over `ports`
-        // wires) so the generation loop almost never reallocates.
-        let est_per_wire = ((measured_end + slack) as f64 * cfg.workload.p * 1.15) as usize + 16;
-        for q in &mut self.gen_q {
-            q.clear();
-            q.reserve(est_per_wire);
+        let stages = self.stages;
+        let mut obs = tel.active().then(|| ObsState::new(tel, stages));
+        for buf in [
+            &mut self.inj,
+            &mut self.deliveries,
+            &mut self.t0,
+            &mut self.rows,
+            &mut self.occ,
+        ] {
+            buf.clear();
         }
-        self.inj.clear();
-        let mut g = GenState {
+        for v in &mut self.subs {
+            v.clear();
+        }
+        self.cons.fill(0);
+        self.queues.fill(QueueState {
+            free: 0,
+            at: obs.as_ref().map_or(u64::MAX, |o| o.sample_every),
+            tick: 0,
+        });
+        let mut rep = Rep {
             rng: InlineRng::seed_from_u64(seed),
             upto: 0,
+            front: 0,
             tracked: 0,
+            stats: NetworkStats::new(self.cfg.stages, self.cfg.collect_correlations),
+            max_tracked_s: 0,
+            stuck: 0,
+            gen_ns: 0,
+            serve_ns: 0,
         };
-        {
-            let _span = tel.span("net/warmup");
-            self.generate_to::<OBS, TRACE>(&mut g, w_cycles, rt.as_mut(), tel);
+        for (phase, end) in [
+            ("net/warmup", self.cfg.warmup_cycles),
+            ("net/measure", self.measured_end),
+        ] {
+            let _span = tel.span(phase);
+            while rep.front < end {
+                let front = (rep.front + TILE_CYCLES).min(end);
+                self.tile::<TRACE, OCC, ROWS>(&mut rep, front, rt.as_mut(), tel, obs.as_ref());
+            }
         }
-        {
-            let _span = tel.span("net/measure");
-            self.generate_to::<OBS, TRACE>(&mut g, measured_end, rt.as_mut(), tel);
-        }
-        let mut slab_hwm = 0u64;
         let e = {
             let _span = tel.span("net/drain");
-            let mut horizon = (measured_end + slack).min(h_cap);
             loop {
-                self.generate_to::<OBS, TRACE>(&mut g, horizon, rt.as_mut(), tel);
-                // One spare row past the tracked block absorbs the
-                // branchless untracked wait writes.
-                self.waits.resize((g.tracked as usize + 1) * stages, 0);
-                macro_rules! sweep {
-                    ($occ:expr) => {
-                        sweep_attempt::<$occ>(
-                            stages,
-                            ports,
-                            k,
-                            horizon,
-                            hard_bound,
-                            horizon >= h_cap,
-                            &self.gen_q,
-                            &self.inj,
-                            &self.digit_table,
-                            &self.parents,
-                            &mut self.waits,
-                            &mut stats,
-                            g.tracked,
-                            measured_end,
-                            &mut self.scratch,
-                            sample_every,
-                            &mut slab_hwm,
-                        )
-                    };
-                }
-                let outcome = if collect_occ {
-                    sweep!(true)
-                } else {
-                    sweep!(false)
-                };
-                match outcome {
-                    SweepOutcome::Done { e } => break e,
-                    SweepOutcome::Retry { needed } => {
-                        horizon = (horizon + horizon / 2).max(needed + slack).min(h_cap);
-                    }
-                    SweepOutcome::Stuck { count } => panic!(
-                        "drain did not complete: {count} tracked messages stuck \
-                         (load too close to 1?)"
-                    ),
+                let front = rep.front + TILE_CYCLES;
+                self.tile::<TRACE, OCC, ROWS>(&mut rep, front, rt.as_mut(), tel, obs.as_ref());
+                if let Some(e) = self.finished(&rep) {
+                    break e;
                 }
             }
         };
-        if TRACE {
-            // Waits rows are ordinal-indexed, so the sampled records
-            // (begun at generation time) are completed straight from the
-            // accepted sweep's wait matrix.
-            let tr = rt.as_mut().expect("trace state");
-            for (idx, ord) in tr.entries() {
-                tr.set_waits(idx, &self.waits[ord as usize * stages..][..stages]);
+        let Rep {
+            mut stats,
+            tracked,
+            gen_ns,
+            serve_ns,
+            ..
+        } = rep;
+        let end = e as usize;
+        if self.deliveries.len() < end {
+            self.deliveries.resize(end, 0);
+        }
+        let (inj, deliveries) = (&self.inj[..end], &self.deliveries[..end]);
+        stats.cycles = e;
+        stats.injected = u64::from(tracked);
+        stats.injected_total = inj.iter().map(|&c| u64::from(c)).sum();
+        stats.delivered_total = deliveries.iter().map(|&c| u64::from(c)).sum();
+        stats.in_flight_at_end = stats.injected_total - stats.delivered_total;
+        stats.total_hist = stats.total_wait.clone();
+        if ROWS {
+            let rows = &self.rows[..tracked as usize * stages];
+            if let Some(corr) = &mut stats.correlations {
+                for row in rows.chunks_exact(stages) {
+                    corr.push(row);
+                }
+            }
+            if TRACE {
+                // Rows are ordinal-indexed, so the sampled records (begun
+                // at generation time) are completed straight from them.
+                let tr = rt.as_mut().expect("trace state");
+                for (idx, ord) in tr.entries() {
+                    tr.set_waits(idx, &rows[ord as usize * stages..][..stages]);
+                }
             }
         }
         if let Some(o) = obs.as_mut() {
-            if collect_occ {
+            if OCC {
                 // Replay the occupancy samples the scalar run takes at
                 // cycles sample_every, 2·sample_every, … up to its end.
-                for ti in 0..(e / sample_every) as usize {
-                    for st in 0..stages {
-                        let row = &self.scratch.occ[(ti * stages + st) * ports..][..ports];
+                let stride = stages * self.ports;
+                let ticks = (e / o.sample_every) as usize;
+                if self.occ.len() < ticks * stride {
+                    self.occ.resize(ticks * stride, 0);
+                }
+                for tick in self.occ[..ticks * stride].chunks_exact(stride) {
+                    for (st, row) in tick.chunks_exact(self.ports).enumerate() {
                         o.sample_stage(st, row.iter().map(|&len| u64::from(len)));
                     }
                 }
             }
-            o.flush_final(&stats, slab_hwm);
+            // Slab high-water replay: the scalar slab grows only when
+            // concurrent live messages exceed every previous peak, and
+            // within a cycle injections precede the serves that free
+            // slots, so the peak is max over cycles of (live after
+            // injecting).
+            let (mut live, mut hwm) = (0u64, 0u64);
+            for (&injected, &delivered) in inj.iter().zip(deliveries) {
+                live += u64::from(injected);
+                hwm = hwm.max(live);
+                live -= u64::from(delivered);
+            }
+            o.flush_final(&stats, hwm);
             if o.metrics {
                 tel.registry().counter("net.lane_runs").inc();
+                tel.spans().record_ns("sweep/generate", gen_ns);
+                tel.spans().record_ns("sweep/serve", serve_ns);
             }
         }
         (stats, rt)
@@ -1058,9 +1024,9 @@ mod tests {
 
     #[test]
     fn heavy_load_drain_extension_matches_scalar() {
-        // ρ close to 1 makes the first sweep horizon too short, forcing
-        // the Retry path (horizon growth + full scratch reset). The
-        // retried sweep must still be bit-identical to the scalar run.
+        // ρ close to 1 leaves tracked stragglers queued long after the
+        // measure window, so the drain streams many tiles past it. The
+        // sweep must still stop exactly where the scalar drain does.
         let mut cfg = quick_cfg(2, 3, 0.97, 1);
         cfg.measure_cycles = 1_500;
         let measured_end = cfg.warmup_cycles + cfg.measure_cycles;
@@ -1073,6 +1039,63 @@ mod tests {
                 "rep {i}: expected a drain extension past {measured_end}, got {}",
                 st.cycles
             );
+        }
+    }
+
+    #[test]
+    fn drain_bound_outcome_matches_scalar() {
+        // Every queue runs deterministically here: each input sends one
+        // message per cycle to its own output, and each takes 2 cycles,
+        // so the backlog grows by half a message per cycle. The last
+        // tracked delivery lands at cycle 2·warmup + 18 against a drain
+        // bound of warmup + 100_220: warmups 100_200 and 100_201 finish
+        // inside the budget, the rest must fail with the same count.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let outcome = |f: &dyn Fn() -> NetworkStats| {
+            catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .expect("panic with a formatted message")
+            })
+        };
+        for warmup in 100_200..=100_204u64 {
+            let cfg = NetworkConfig {
+                warmup_cycles: warmup,
+                measure_cycles: 10,
+                ..NetworkConfig::new(
+                    2,
+                    1,
+                    Workload {
+                        p: 1.0,
+                        q: 1.0,
+                        service: ServiceDist::Constant(2),
+                    },
+                )
+            };
+            let scalar = outcome(&|| scalar_run(&cfg, cfg.seed));
+            let swept = outcome(&|| {
+                StageSweep::new(&cfg)
+                    .run(cfg.seed, &Telemetry::off(), None)
+                    .0
+            });
+            let brief = |o: &Result<NetworkStats, String>| match o {
+                Ok(st) => format!("ends at cycle {}", st.cycles),
+                Err(why) => why.clone(),
+            };
+            assert!(
+                swept == scalar,
+                "warmup {warmup}: sweep {} vs scalar {}",
+                brief(&swept),
+                brief(&scalar)
+            );
+            match (warmup, &scalar) {
+                (..=100_201, Ok(st)) => assert_eq!(st.cycles, 2 * warmup + 19),
+                (100_202.., Err(why)) => assert!(why.contains(" tracked messages stuck"), "{why}"),
+                _ => panic!("warmup {warmup}: unexpected outcome {scalar:?}"),
+            }
+            if let Err(why) = &scalar {
+                assert!(!why.contains(" 0 tracked"), "warmup {warmup}: {why}");
+            }
         }
     }
 
@@ -1142,6 +1165,12 @@ mod tests {
         );
         for phase in ["net/warmup", "net/measure", "net/drain"] {
             assert_eq!(tel_sw.spans().stat(phase).unwrap().calls, 4, "{phase}");
+        }
+        // The split ledger: one generate and one serve record per
+        // replication, outside the `net/` phases.
+        for split in ["sweep/generate", "sweep/serve"] {
+            assert_eq!(tel_sw.spans().stat(split).unwrap().calls, 4, "{split}");
+            assert!(tel_sc.spans().stat(split).is_none(), "{split}");
         }
     }
 

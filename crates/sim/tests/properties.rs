@@ -260,10 +260,12 @@ fn telemetry_never_perturbs_replicated_results() {
 #[test]
 fn sweep_engine_bit_identity() {
     // The engine contract: for random (p, k, n, m), buffer capacities,
-    // and thread counts, the stage sweep produces NetworkStats equal
-    // (`==`: every pmf, counter and the conservation ledger) to one
-    // scalar simulation per replication on every configuration it
-    // accepts, and it refuses the rest.
+    // thread counts, warmups on and beside the sweep's 128-cycle tile
+    // edges, measure windows down to one cycle, and correlations on or
+    // off (the kept-waits-rows path), the stage sweep produces
+    // NetworkStats equal (`==`: every pmf, counter and the conservation
+    // ledger) to one scalar simulation per replication on every
+    // configuration it accepts, and it refuses the rest.
     use banyan_obs::Telemetry;
     use banyan_sim::runner::run_network_replicated_with_engine;
     use banyan_sim::{sweep_eligible, ReplicationEngine};
@@ -278,16 +280,21 @@ fn sweep_engine_bit_identity() {
         let cap = g.pick(&[None, None, Some(2usize), Some(8)]);
         let reps = g.pick(&[2u32, 3, 5, 8]);
         let threads = g.pick(&[1usize, 2, 4]);
+        let warmup = g.pick(&[0u64, 1, 100, 127, 128, 129]);
+        let measure = g.pick(&[1u64, 200, 800]);
+        let corr = g.pick(&[false, true]);
         let seed = g.any_u64();
         let cfg = NetworkConfig {
-            warmup_cycles: 100,
-            measure_cycles: 800,
+            warmup_cycles: warmup,
+            measure_cycles: measure,
+            collect_correlations: corr,
             seed,
             buffer_capacity: cap,
             ..NetworkConfig::new(k, n, Workload::uniform(p, m))
         };
         let label = format!(
-            "k={k} n={n} m={m} p={p} cap={cap:?} reps={reps} threads={threads} seed={seed:#x}"
+            "k={k} n={n} m={m} p={p} cap={cap:?} reps={reps} threads={threads} \
+             warmup={warmup} measure={measure} corr={corr} seed={seed:#x}"
         );
         let tel = Telemetry::off();
         let run = |engine| run_network_replicated_with_engine(&cfg, reps, threads, &tel, engine);
@@ -300,6 +307,93 @@ fn sweep_engine_bit_identity() {
         let scalar = run(ReplicationEngine::Scalar);
         let swept = run(ReplicationEngine::Sweep);
         assert_eq!(swept, scalar, "{label}");
+    });
+}
+
+#[test]
+fn sweep_engine_telemetry_parity() {
+    // Telemetry is part of the engine contract: with metrics on at any
+    // sampling cadence, the stage sweep reports exactly what the scalar
+    // engine reports — counters, gauges and their high-water marks
+    // (replications run in order on one thread, so even last-write
+    // gauges agree), the occupancy histogram, and the wait sketches.
+    use banyan_obs::registry::POW2_BOUNDS;
+    use banyan_obs::{Telemetry, TelemetryConfig};
+    use banyan_sim::runner::run_network_replicated_with_engine;
+    use banyan_sim::ReplicationEngine;
+    check(CASES, |g| {
+        let (k, n) = g.pick(&[(2u32, 2u32), (2, 4), (3, 3), (4, 2)]);
+        let m = g.pick(&[1u32, 2]);
+        let p = g.f64(0.05..0.8) / m as f64;
+        let sample_every = g.pick(&[1u64, 7, 64, 256]);
+        let reps = g.pick(&[1u32, 2, 3]);
+        let warmup = g.pick(&[0u64, 127, 128, 300]);
+        let measure = g.pick(&[1u64, 200, 600]);
+        let seed = g.any_u64();
+        let cfg = NetworkConfig {
+            warmup_cycles: warmup,
+            measure_cycles: measure,
+            seed,
+            ..NetworkConfig::new(k, n, Workload::uniform(p, m))
+        };
+        let label = format!(
+            "k={k} n={n} m={m} p={p} every={sample_every} reps={reps} \
+             warmup={warmup} measure={measure} seed={seed:#x}"
+        );
+        let run = |engine| {
+            let tel = Telemetry::new(TelemetryConfig::on().with_sample_every(sample_every));
+            let stats = run_network_replicated_with_engine(&cfg, reps, 1, &tel, engine);
+            (stats, tel)
+        };
+        let (scalar, tel_sc) = run(ReplicationEngine::Scalar);
+        let (swept, tel_sw) = run(ReplicationEngine::Sweep);
+        assert_eq!(swept, scalar, "{label}");
+        let (a, b) = (tel_sw.registry(), tel_sc.registry());
+        for name in [
+            "net.injected_total",
+            "net.delivered_total",
+            "net.rejected_total",
+            "net.in_flight_at_end",
+            "net.cycles",
+            "net.tracked_injected",
+            "net.tracked_delivered",
+            "net.runs",
+        ] {
+            assert_eq!(
+                a.counter_value(name),
+                b.counter_value(name),
+                "{name}: {label}"
+            );
+        }
+        let stage_names = (1..=n).map(|s| format!("{s:02}"));
+        let gauges = stage_names
+            .clone()
+            .map(|s| format!("net.occupancy.stage{s}"))
+            .chain(["net.slab_high_water".to_string()]);
+        for name in gauges {
+            let (ga, gb) = (a.gauge(&name), b.gauge(&name));
+            assert_eq!(ga.get(), gb.get(), "{name}: {label}");
+            assert_eq!(
+                ga.high_water(),
+                gb.high_water(),
+                "{name} high-water: {label}"
+            );
+        }
+        assert_eq!(
+            a.histogram("net.queue_occupancy", POW2_BOUNDS)
+                .bucket_counts(),
+            b.histogram("net.queue_occupancy", POW2_BOUNDS)
+                .bucket_counts(),
+            "occupancy histogram: {label}"
+        );
+        let sketches = stage_names
+            .map(|s| format!("net.wait.stage{s}"))
+            .chain(["net.wait.total".to_string()]);
+        for name in sketches {
+            let (sa, sb) = (tel_sw.sketches().get(&name), tel_sc.sketches().get(&name));
+            assert!(sa.is_some(), "{name} missing: {label}");
+            assert_eq!(sa, sb, "{name}: {label}");
+        }
     });
 }
 

@@ -327,6 +327,10 @@ if [ "$QUICK" -eq 1 ]; then
     # guards the simulator's core bit-identity contract, so it runs even
     # in the quick tier (integration suites are otherwise skipped).
     timed "sweep bit-identity" cargo test -q --offline -p banyan-sim --test properties sweep_engine_bit_identity
+    # The same contract for telemetry: counters, gauges and their
+    # high-water marks, the occupancy histogram and the wait sketches,
+    # at sample cadences 1, 7, 64 and 256.
+    timed "sweep telemetry parity" cargo test -q --offline -p banyan-sim --test properties sweep_engine_telemetry_parity
     # Replication merge is integer addition: forward, reversed and
     # shuffled merges of the same replications must compare equal.
     timed "order-free merge" cargo test -q --offline -p banyan-sim --test properties merge_is_order_free
