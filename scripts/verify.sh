@@ -334,6 +334,10 @@ if [ "$QUICK" -eq 1 ]; then
     # Replication merge is integer addition: forward, reversed and
     # shuffled merges of the same replications must compare equal.
     timed "order-free merge" cargo test -q --offline -p banyan-sim --test properties merge_is_order_free
+    # The regimes only the scalar engine runs — finite-buffer blocking
+    # and random-digit routing — pinned count for count, since the sweep
+    # oracle above cannot cover them.
+    timed "scalar pinned dynamics" cargo test -q --offline -p banyan-sim --test pinned_dynamics
     echo "verify: OK (quick tier — bench + integration suites not run)"
     exit 0
 fi
