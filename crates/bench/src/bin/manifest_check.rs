@@ -196,16 +196,16 @@ fn check_manifest(doc: &JsonValue, schema: &str) -> Result<String, String> {
                 ));
             }
         }
-        // Sweep-engine provenance: `net.lane_runs` counts replications
+        // Sweep-engine provenance: `net.sweep_runs` counts replications
         // that went through the stage sweep, so it can never exceed the
         // total replication count.
-        if let Some(lane_runs) = counter("net.lane_runs") {
+        if let Some(sweep_runs) = counter("net.sweep_runs") {
             let runs = counter("net.runs").ok_or(format!(
-                "net.lane_runs {lane_runs} present without net.runs"
+                "net.sweep_runs {sweep_runs} present without net.runs"
             ))?;
-            if lane_runs > runs {
+            if sweep_runs > runs {
                 return Err(format!(
-                    "lane ledger broken: net.lane_runs {lane_runs} > net.runs {runs}"
+                    "sweep ledger broken: net.sweep_runs {sweep_runs} > net.runs {runs}"
                 ));
             }
         }

@@ -78,6 +78,23 @@ pub fn simulator() -> std::path::PathBuf {
         });
     }
 
+    // Finite buffers (the `sim_blocking` benchmark point): a hot spot
+    // into capacity-4 buffers blocks and rejects, so only the scalar
+    // engine can run it.
+    {
+        let cycles = 2_000u64;
+        let mk = move || NetworkConfig {
+            warmup_cycles: 200,
+            measure_cycles: cycles,
+            buffer_capacity: Some(4),
+            ..NetworkConfig::new(2, 8, Workload::hotspot(0.6, 0.1))
+        };
+        let delivered = run_network(mk()).delivered;
+        s.bench_throughput2("network_k2_n8_hotspot_cap4", cycles, delivered, move || {
+            run_network(mk()).delivered
+        });
+    }
+
     // Replicated Table-I family (k = 2, 8 stages = 256 ports): the
     // replication runner's scalar engine vs the stage sweep the Auto
     // policy picks, across the load sweep ρ = 0.2..0.8. One thread, so
@@ -112,11 +129,10 @@ pub fn simulator() -> std::path::PathBuf {
                 ReplicationEngine::Scalar,
             )
             .delivered_total;
-            // `Auto` runs the stage sweep here; the `lanes` row name is
-            // kept so recorded baselines stay comparable.
+            // `Auto` runs the stage sweep here.
             for (engine, ename) in [
                 (ReplicationEngine::Scalar, "scalar"),
-                (ReplicationEngine::Auto, "lanes"),
+                (ReplicationEngine::Auto, "sweep"),
             ] {
                 let cfg = mk();
                 s.bench_throughput2(

@@ -466,7 +466,7 @@ mod tests {
         let tel = Telemetry::new(TelemetryConfig::on());
         run_network_replicated_instrumented(&cfg, 4, 2, &tel);
         assert!(tel.run_log_json().contains("engine=sweep"));
-        assert_eq!(tel.registry().counter_value("net.lane_runs"), Some(4));
+        assert_eq!(tel.registry().counter_value("net.sweep_runs"), Some(4));
         // Finite buffers disqualify the sweep — Auto must fall back to
         // scalar (and still merge identically to the forced scalar
         // engine).
