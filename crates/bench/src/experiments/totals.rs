@@ -19,7 +19,6 @@ use banyan_core::total_delay::TotalWaiting;
 use banyan_obs::tail::ks_distance;
 use banyan_sim::network::NetworkStats;
 use banyan_stats::distance::{tail_relative_error, total_variation};
-use banyan_stats::Gamma;
 use std::fmt::Write as _;
 
 /// Runs one total-waiting configuration.
@@ -219,13 +218,6 @@ pub fn figures_csv_from(runs: &TotalRuns) -> String {
         }
     }
     out
-}
-
-/// Moment-matched gamma fitted directly to *simulated* moments — used by
-/// the ablation that asks how much prediction error (vs pure
-/// distributional-shape error) contributes to the figure mismatch.
-pub fn gamma_from_sim(stats: &NetworkStats) -> Option<Gamma> {
-    Gamma::from_mean_var(stats.total_wait.mean(), stats.total_wait.variance())
 }
 
 #[cfg(test)]

@@ -55,12 +55,14 @@ impl RunManifest {
             .config("target_messages", scale.target_messages)
             .reps(scale.reps)
             .threads(scale.threads);
+        let results = workspace_root().join("results");
+        std::fs::create_dir_all(&results).expect("create results/");
         let now = Instant::now();
         RunManifest {
             manifest,
             started: now,
             phase_started: now,
-            path: results_dir().join(format!("{name}.manifest.json")),
+            path: results.join(format!("{name}.manifest.json")),
         }
     }
 
@@ -76,9 +78,16 @@ impl RunManifest {
         self
     }
 
-    /// Records an output artifact produced by the run.
+    /// Records an output artifact produced by the run. A path under the
+    /// workspace root (a relative one is taken from the current
+    /// directory) is recorded relative to the root, so the manifest names
+    /// the same path whichever checkout ran the binary.
     pub fn artifact(&mut self, path: impl std::fmt::Display) -> &mut Self {
-        self.manifest.artifact(path);
+        let path = PathBuf::from(path.to_string());
+        let cwd = std::env::current_dir().expect("current dir");
+        let absolute = cwd.join(&path);
+        let recorded = absolute.strip_prefix(workspace_root()).unwrap_or(&path);
+        self.manifest.artifact(recorded.display());
         self
     }
 
@@ -119,19 +128,16 @@ pub fn emit_with_manifest(name: &str, job: impl FnOnce(&Scale) -> String) {
     run.finish();
 }
 
-/// `results/` under the workspace root (the nearest ancestor holding a
-/// `Cargo.lock`), created on demand — same convention as
-/// [`crate::micro::Suite::finish`].
-fn results_dir() -> PathBuf {
+/// The nearest ancestor of the current directory holding a `Cargo.lock`
+/// (`cargo bench` sets the working directory to the *package* root, so
+/// a bare relative path would scatter output across crates). Falls back
+/// to the current directory outside any workspace.
+pub(crate) fn workspace_root() -> PathBuf {
     let cwd = std::env::current_dir().expect("current dir");
-    let root = cwd
-        .ancestors()
+    cwd.ancestors()
         .find(|d| d.join("Cargo.lock").is_file())
         .unwrap_or(&cwd)
-        .to_path_buf();
-    let results = root.join("results");
-    std::fs::create_dir_all(&results).expect("create results/");
-    results
+        .to_path_buf()
 }
 
 #[cfg(test)]
@@ -162,6 +168,22 @@ mod tests {
         assert!(text.contains("\"total\""));
         assert!(text.contains("\"base\": 42"));
         assert!(text.contains("\"target_messages\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn artifacts_are_recorded_relative_to_the_workspace_root() {
+        let dir = std::env::temp_dir().join(format!("banyan_artifact_test_{}", std::process::id()));
+        let mut run = RunManifest::start("unit-test-artifacts", &Scale::quick());
+        run.path = dir.join("m.json");
+        let absolute = workspace_root().join("results").join("BENCH_unit.json");
+        run.artifact(absolute.display())
+            .artifact("/elsewhere/out.json");
+        let text = std::fs::read_to_string(run.finish()).unwrap();
+        assert!(
+            text.contains(r#""artifacts": ["results/BENCH_unit.json", "/elsewhere/out.json"]"#),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -252,25 +252,13 @@ impl Suite {
     /// Writes `results/BENCH_<suite>.json` (under the workspace root,
     /// wherever the target was invoked from) and returns its path.
     pub fn finish(self) -> std::path::PathBuf {
-        let results = workspace_root().join("results");
+        let results = crate::manifest::workspace_root().join("results");
         std::fs::create_dir_all(&results).expect("create results/");
         let path = results.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json()).expect("write bench json");
         eprintln!("wrote {}", path.display());
         path
     }
-}
-
-/// The nearest ancestor of the current directory holding a `Cargo.lock`
-/// (`cargo bench` sets the working directory to the *package* root, so
-/// a bare relative path would scatter output across crates). Falls back
-/// to the current directory outside any workspace.
-fn workspace_root() -> std::path::PathBuf {
-    let cwd = std::env::current_dir().expect("current dir");
-    cwd.ancestors()
-        .find(|d| d.join("Cargo.lock").is_file())
-        .unwrap_or(&cwd)
-        .to_path_buf()
 }
 
 /// Picks an iteration count so one timed sample lasts ≈ [`SAMPLE_TARGET`]:

@@ -7,8 +7,6 @@
 //! predict — is reproducible, and so the constants lost to the illegible
 //! scan can be re-derived the same way the authors derived them.
 
-use crate::later_stages::StageConstants;
-
 /// One observation for the mean-ratio fit: a simulated deep-stage mean
 /// `w_inf` against the exact first-stage mean `w1` at load `p` on `k × k`
 /// switches.
@@ -130,46 +128,6 @@ pub fn fit_slope_with_intercept(points: &[(f64, f64)], intercept: f64) -> Option
     (den > 0.0).then(|| num / den)
 }
 
-/// Convenience: builds a [`StageConstants`] from fitted pieces, keeping
-/// paper defaults for anything not supplied.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CalibrationResult {
-    /// Fitted `mean_coeff`, if a fit was performed.
-    pub mean_coeff: Option<f64>,
-    /// Fitted `(var_p1, var_p2)`.
-    pub var_coeffs: Option<(f64, f64)>,
-    /// Fitted stage-approach rate `α`.
-    pub alpha: Option<f64>,
-    /// Fitted nonuniform mean slope.
-    pub nonuni_mean_slope: Option<f64>,
-    /// Fitted nonuniform variance slope.
-    pub nonuni_var_slope: Option<f64>,
-}
-
-impl CalibrationResult {
-    /// Merges the fitted constants over the paper defaults.
-    pub fn into_constants(self) -> StageConstants {
-        let mut c = StageConstants::default();
-        if let Some(a) = self.mean_coeff {
-            c.mean_coeff = a;
-        }
-        if let Some((p1, p2)) = self.var_coeffs {
-            c.var_p1 = p1;
-            c.var_p2 = p2;
-        }
-        if let Some(al) = self.alpha {
-            c.alpha = al;
-        }
-        if let Some(s) = self.nonuni_mean_slope {
-            c.nonuni_mean_slope = s;
-        }
-        if let Some(s) = self.nonuni_var_slope {
-            c.nonuni_var_slope = s;
-        }
-        c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,20 +237,5 @@ mod tests {
         let b = fit_slope_with_intercept(&pts, 1.2).unwrap();
         assert!((b + 0.75).abs() < 1e-12);
         assert!(fit_slope_with_intercept(&[(0.0, 1.2)], 1.2).is_none());
-    }
-
-    #[test]
-    fn calibration_result_merges_over_defaults() {
-        let r = CalibrationResult {
-            mean_coeff: Some(0.9),
-            var_coeffs: None,
-            alpha: Some(0.35),
-            nonuni_mean_slope: None,
-            nonuni_var_slope: None,
-        };
-        let c = r.into_constants();
-        assert_eq!(c.mean_coeff, 0.9);
-        assert_eq!(c.alpha, 0.35);
-        assert_eq!(c.var_p1, StageConstants::default().var_p1);
     }
 }

@@ -228,11 +228,6 @@ impl<R: Pgf, U: Pgf> FirstStage<R, U> {
         self.lambda
     }
 
-    /// Mean service time `m` (cycles).
-    pub fn mean_service(&self) -> f64 {
-        self.m
-    }
-
     /// Traffic intensity `ρ = mλ` (also the long-run utilization of the
     /// output port).
     pub fn rho(&self) -> f64 {
@@ -438,7 +433,7 @@ impl<R: Pgf, U: Pgf> FirstStage<R, U> {
     }
 
     /// Cumulative table `[P(w <= 0), …, P(w <= len−1)]` from a single
-    /// pmf inversion. Prefer this over repeated [`wait_cdf`] calls when
+    /// pmf inversion. Prefer this over repeated [`Self::wait_cdf`] calls when
     /// the CDF is needed at many points (e.g. KS drift checks): one FFT
     /// instead of `len`.
     pub fn wait_cdf_table(&self, len: usize) -> Vec<f64> {
@@ -488,18 +483,6 @@ impl<R: Pgf, U: Pgf> FirstStage<R, U> {
             len *= 2;
             assert!(len <= 1 << 22, "quantile window blew up (load too close to 1?)");
         }
-    }
-
-    /// The pmf of the *delay* through the stage (waiting plus own
-    /// service): the convolution of the waiting pmf with the service
-    /// pmf. Arrivals are independent of queue state, so waiting and own
-    /// service are independent.
-    pub fn delay_pmf(&self, len: usize) -> Vec<f64> {
-        let wait = self.pmf(len);
-        let service = crate::gf::pgf_to_pmf(&self.service, len);
-        let mut out = banyan_numerics::fft::convolve(&wait, &service);
-        out.truncate(len);
-        out
     }
 
     /// Picks an FFT size large enough that the aliased tail mass is
@@ -900,7 +883,7 @@ mod tests {
             .unwrap();
             let (ew, var, _) = wait_three_moments(
                 q.lambda(),
-                q.mean_service(),
+                q.m,
                 q.arrivals().d2(),
                 q.arrivals().d3(),
                 q.arrivals().d4(),
@@ -1072,36 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_pmf_is_shifted_for_constant_service() {
-        // With deterministic service m the delay pmf is the waiting pmf
-        // shifted by m.
-        let q = FirstStage::new(
-            UniformBernoulli::square(2, 0.2),
-            ConstantService::new(3),
-        )
-        .unwrap();
-        let wait = q.pmf(48);
-        let delay = q.delay_pmf(48);
-        for j in 0..45 {
-            let want = if j >= 3 { wait[j - 3] } else { 0.0 };
-            assert!((delay[j] - want).abs() < 1e-10, "j={j}");
-        }
-    }
-
-    #[test]
-    fn delay_pmf_moments_match_mean_delay() {
-        let q = FirstStage::new(
-            UniformBernoulli::square(2, 0.2),
-            MixedService::new(vec![(1, 0.5), (4, 0.5)]),
-        )
-        .unwrap();
-        let delay = q.delay_pmf(96);
-        let (mean, var) = pmf_mean_var(&delay);
-        assert!((mean - q.mean_delay()).abs() < 1e-6);
-        assert!((var - q.var_delay()).abs() < 1e-4);
-    }
-
-    #[test]
     fn heavier_load_means_longer_waits() {
         let mk = |p: f64| {
             FirstStage::new(UniformBernoulli::square(2, p), ConstantService::unit())
@@ -1114,6 +1067,57 @@ mod tests {
             assert!(w > prev);
             prev = w;
         }
+    }
+
+    /// §III-C: with `n` cycles per time unit, geometric service
+    /// `μ = 1/n` and Poisson arrivals `λ = ρ/n`, the scaled discrete
+    /// queue converges to M/M/1 with `μ = 1`, whose waiting time has
+    /// `E(w) = ρ/(1−ρ)` and `Var(w) = ρ(2−ρ)/(1−ρ)²`. Errors shrink
+    /// monotonically.
+    #[test]
+    fn discrete_geometric_queue_converges_to_mm1() {
+        let rho: f64 = 0.6;
+        let want_m = rho / (1.0 - rho);
+        let want_v = rho * (2.0 - rho) / ((1.0 - rho) * (1.0 - rho));
+        let mut prev = f64::INFINITY;
+        for &n in &[4u32, 16, 64, 256] {
+            let q = FirstStage::new(
+                PoissonArrivals::new(rho / n as f64),
+                GeometricService::new(1.0 / n as f64),
+            )
+            .unwrap();
+            let got_m = q.mean_wait() / n as f64;
+            let got_v = q.var_wait() / (n as f64 * n as f64);
+            let err = (got_m - want_m).abs() / want_m + (got_v - want_v).abs() / want_v;
+            assert!(err < prev, "error should shrink with n: {err} vs {prev}");
+            prev = err;
+        }
+        assert!(prev < 0.02, "final combined error {prev}");
+    }
+
+    /// §IV-B: Poisson arrivals and constant size `m → ∞` at fixed
+    /// `ρ = mλ` converge in scaled time to M/D/1 with unit service,
+    /// whose Pollaczek–Khinchine moments are `E(w) = ρ/(2(1−ρ))` and
+    /// `Var(w) = E(w)² + ρ/(3(1−ρ))`.
+    #[test]
+    fn discrete_constant_queue_converges_to_md1() {
+        let rho: f64 = 0.5;
+        let want_m = rho / (2.0 * (1.0 - rho));
+        let want_v = want_m * want_m + rho / (3.0 * (1.0 - rho));
+        let mut prev = f64::INFINITY;
+        for &m in &[4u32, 16, 64, 256] {
+            let q = FirstStage::new(
+                PoissonArrivals::new(rho / m as f64),
+                ConstantService::new(m),
+            )
+            .unwrap();
+            let got_m = q.mean_wait() / m as f64;
+            let got_v = q.var_wait() / (m as f64 * m as f64);
+            let err = (got_m - want_m).abs() / want_m + (got_v - want_v).abs() / want_v;
+            assert!(err < prev, "error should shrink with m: {err} vs {prev}");
+            prev = err;
+        }
+        assert!(prev < 0.02, "final combined error {prev}");
     }
 
     #[test]

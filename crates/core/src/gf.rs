@@ -148,29 +148,6 @@ impl Pgf for TabulatedPgf {
     }
 }
 
-/// Recovers the pmf of any [`Pgf`] numerically: samples `G` at the
-/// roots of unity and inverts with an FFT. Exact (to round-off) for
-/// distributions supported on `0..len` once the FFT size exceeds the
-/// support; for infinite-support distributions the aliased tail mass is
-/// folded in, so pick `len` comfortably past the effective support.
-pub fn pgf_to_pmf<G: Pgf + ?Sized>(g: &G, len: usize) -> Vec<f64> {
-    let n = banyan_numerics::next_pow2(2 * len.max(16));
-    let samples: Vec<Complex> = (0..n)
-        .map(|l| {
-            let theta = 2.0 * std::f64::consts::PI * l as f64 / n as f64;
-            g.eval_complex(Complex::cis(theta))
-        })
-        .collect();
-    let mut coeffs = banyan_numerics::fft::coefficients_from_unit_circle(&samples);
-    coeffs.truncate(len);
-    for c in coeffs.iter_mut() {
-        if *c < 0.0 && *c > -1e-9 {
-            *c = 0.0;
-        }
-    }
-    coeffs
-}
-
 /// Numerical cross-check: estimates `(d1, d2, d3)` of any [`Pgf`] by
 /// finite differences at `z = 1`.
 ///
@@ -195,6 +172,10 @@ mod tests {
         assert_eq!(g.d3(), 0.0);
         // Var = EX² − (EX)²; EX² = 0.3 + 4·0.5 = 2.3; EX = 1.3.
         assert!((g.variance() - (2.3 - 1.69)).abs() < 1e-14);
+        // On the unit circle, where the pmf inversion samples it.
+        let w = Complex::cis(0.7);
+        let direct = w * w * 0.5 + w * 0.3 + 0.2;
+        assert!((g.eval_complex(w) - direct).abs() < 1e-15);
     }
 
     #[test]
@@ -214,31 +195,6 @@ mod tests {
             assert!((zc.re - g.eval(x)).abs() < 1e-14);
             assert!(zc.im.abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn pgf_to_pmf_round_trips_tabulated() {
-        let pmf = vec![0.1, 0.0, 0.45, 0.25, 0.2];
-        let g = TabulatedPgf::new(pmf.clone());
-        let got = pgf_to_pmf(&g, 8);
-        for (j, &p) in pmf.iter().enumerate() {
-            assert!((got[j] - p).abs() < 1e-12, "coef {j}");
-        }
-        for &p in &got[pmf.len()..] {
-            assert!(p.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pgf_to_pmf_geometric_service() {
-        use crate::service::GeometricService;
-        let g = GeometricService::new(0.5);
-        let got = pgf_to_pmf(&g, 20);
-        for (j, &gj) in got.iter().enumerate().take(15).skip(1) {
-            let want = 0.5f64.powi(j as i32);
-            assert!((gj - want).abs() < 1e-10, "j={j}");
-        }
-        assert!(got[0].abs() < 1e-10);
     }
 
     #[test]

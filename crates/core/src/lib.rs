@@ -55,7 +55,6 @@ pub mod design;
 pub mod first_stage;
 pub mod gf;
 pub mod later_stages;
-pub mod limits;
 pub mod models;
 pub mod service;
 pub mod total_delay;

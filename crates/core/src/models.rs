@@ -20,15 +20,6 @@ pub fn uniform_queue(
     FirstStage::new(UniformBernoulli::square(k, p), ConstantService::new(m))
 }
 
-/// Uniform traffic on a rectangular `k × s` switch, unit service.
-pub fn rectangular_queue(
-    k: u32,
-    s: u32,
-    p: f64,
-) -> Result<FirstStage<UniformBernoulli, ConstantService>, ModelError> {
-    FirstStage::new(UniformBernoulli::new(k, s, p), ConstantService::unit())
-}
-
 /// Bulk arrivals of `b` unit-service packets (§III-A-2).
 pub fn bulk_queue(
     k: u32,
@@ -201,7 +192,8 @@ mod tests {
 
     #[test]
     fn rectangular_queue_lambda() {
-        let q = rectangular_queue(4, 8, 0.6).unwrap();
+        let q =
+            FirstStage::new(UniformBernoulli::new(4, 8, 0.6), ConstantService::unit()).unwrap();
         assert!((q.lambda() - 0.3).abs() < 1e-15);
     }
 

@@ -280,6 +280,12 @@ mod tests {
             .map(|j| mu * (1.0 - mu).powi(j - 1) * z.powi(j))
             .sum();
         assert!((g.eval(z) - series).abs() < 1e-12);
+        // On the unit circle, where the pmf inversion samples it.
+        let w = Complex::cis(1.1);
+        let series: Complex = (1i32..400)
+            .map(|j| w.powi(j) * (mu * (1.0 - mu).powi(j - 1)))
+            .sum();
+        assert!((g.eval_complex(w) - series).abs() < 1e-12);
     }
 
     #[test]

@@ -168,24 +168,6 @@ impl TotalWaiting {
         acc
     }
 
-    /// Approximate CDF of the total **delay** (waiting + pipelined
-    /// service): the gamma approximation of the waiting time shifted by
-    /// the constant service `n + m − 1`. Returns the point mass behavior
-    /// at zero load (`P(delay <= x)` is a step at the service time).
-    pub fn delay_cdf(&self, x: f64) -> f64 {
-        let shift = self.total_service() as f64;
-        match self.gamma() {
-            Some(g) => g.cdf(x - shift),
-            None => {
-                if x >= shift {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
     /// Approximate `q`-th quantile of the total delay.
     ///
     /// # Panics
@@ -197,14 +179,6 @@ impl TotalWaiting {
             Some(g) => shift + g.quantile(q),
             None => shift,
         }
-    }
-
-    /// Exact first-stage moments `(w₁, v₁)` for this configuration — the
-    /// anchor of all the approximations.
-    pub fn first_stage_exact(&self) -> (f64, f64) {
-        let q = uniform_queue(self.k, self.p, self.m)
-            .expect("constructor already validated stability");
-        (q.mean_wait(), q.var_wait())
     }
 }
 
@@ -339,7 +313,8 @@ mod tests {
     fn single_stage_is_exact_first_stage() {
         for &(p, m) in &[(0.5, 1u32), (0.125, 4)] {
             let t = TotalWaiting::new(2, 1, p, m);
-            let (w1, v1) = t.first_stage_exact();
+            let q = uniform_queue(2, p, m).unwrap();
+            let (w1, v1) = (q.mean_wait(), q.var_wait());
             assert!((t.mean_total() - w1).abs() < 1e-12);
             assert!((t.var_total_independent() - v1).abs() < 1e-10);
             // With one stage there are no cross terms.
@@ -395,7 +370,8 @@ mod tests {
     #[test]
     fn m4_first_stage_uses_exact_formula() {
         let t = TotalWaiting::new(2, 6, 0.125, 4);
-        let (w1, v1) = t.first_stage_exact();
+        let q = uniform_queue(2, 0.125, 4).unwrap();
+        let (w1, v1) = (q.mean_wait(), q.var_wait());
         assert!((t.stage_mean(1) - w1).abs() < 1e-12);
         assert!((t.stage_var(1) - v1).abs() < 1e-10);
         // Interior stages use the scaled-cycle limit.
@@ -499,7 +475,8 @@ mod tests {
         let total: f64 = pmf.iter().sum();
         assert!((total - 1.0).abs() < 1e-8, "mass {total}");
         let (mean, var) = banyan_numerics::series::pmf_mean_var(&pmf);
-        let (w1, v1) = t.first_stage_exact();
+        let q = uniform_queue(2, 0.5, 1).unwrap();
+        let (w1, v1) = (q.mean_wait(), q.var_wait());
         assert!((mean - 6.0 * w1).abs() < 1e-6);
         assert!((var - 6.0 * v1).abs() < 1e-5);
         // And therefore slightly below the §IV-aware predictions.
@@ -511,20 +488,14 @@ mod tests {
     fn delay_distribution_is_shifted_waiting() {
         let t = TotalWaiting::new(2, 6, 0.5, 1);
         let g = t.gamma().unwrap();
-        for &x in &[6.0, 8.0, 12.0, 20.0] {
-            assert!((t.delay_cdf(x) - g.cdf(x - 6.0)).abs() < 1e-12);
-        }
-        assert_eq!(t.delay_cdf(0.0), 0.0);
         let q = t.delay_quantile(0.99);
-        assert!((t.delay_cdf(q) - 0.99).abs() < 1e-6);
+        assert!((g.cdf(q - 6.0) - 0.99).abs() < 1e-6);
         assert!(q > t.total_service() as f64);
     }
 
     #[test]
     fn zero_load_delay_is_deterministic_service() {
         let t = TotalWaiting::new(2, 4, 0.0, 2);
-        assert_eq!(t.delay_cdf(4.9), 0.0);
-        assert_eq!(t.delay_cdf(5.0), 1.0);
         assert_eq!(t.delay_quantile(0.5), 5.0);
     }
 

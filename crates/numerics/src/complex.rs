@@ -49,12 +49,6 @@ impl Complex {
         Complex::from_polar(1.0, theta)
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Squared modulus `re² + im²`.
     #[inline]
     pub fn norm_sqr(self) -> f64 {
@@ -292,7 +286,7 @@ mod tests {
     #[test]
     fn conjugate_multiplication_gives_norm() {
         let z = Complex::new(1.5, 2.5);
-        let n = z * z.conj();
+        let n = z * Complex::new(z.re, -z.im);
         assert!((n.re - z.norm_sqr()).abs() < 1e-15);
         assert!(n.im.abs() < 1e-15);
     }

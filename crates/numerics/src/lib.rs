@@ -13,11 +13,7 @@
 //!   waiting-time distribution (paper §V, Figs. 3–8),
 //! * [`series`] — compensated (Kahan–Neumaier) summation and power-series
 //!   helpers,
-//! * [`poly`] — dense polynomial evaluation and differentiation,
-//! * [`roots`] — bracketing root finders (bisection / Brent), used for tail
-//!   exponents,
-//! * [`quadrature`] — adaptive Simpson integration (sanity checks for
-//!   densities).
+//! * [`roots`] — Brent's bracketing root finder, used for tail exponents.
 //!
 //! Everything is pure, deterministic, and tested against closed forms.
 
@@ -26,14 +22,12 @@
 
 pub mod complex;
 pub mod fft;
-pub mod poly;
-pub mod quadrature;
 pub mod roots;
 pub mod series;
 pub mod special;
 
 pub use complex::Complex;
 pub use fft::{convolve, fft, ifft, next_pow2, normalize_pmf};
-pub use roots::{bisect, brent};
+pub use roots::brent;
 pub use series::{kahan_sum, KahanSum};
 pub use special::{inv_reg_gamma, ln_beta, ln_gamma, reg_beta, reg_gamma_lower, reg_gamma_upper};

@@ -1,13 +1,12 @@
-//! Bracketing root finders.
+//! Brent's bracketing root finder.
 //!
-//! Used for: inverse CDF of the gamma approximation (quantiles of the total
-//! waiting time), and locating the dominant real singularity of the
+//! Used for locating the dominant real singularity of the
 //! waiting-time transform `t(z)` — the smallest root of `R(U(z)) = z`
 //! beyond `z = 1` — which gives the geometric decay rate of the
 //! waiting-time tail ("typically in queueing systems, the distribution of
 //! waiting times has an exponential or geometric tail", paper §V).
 
-/// Error conditions for the root finders.
+/// Error conditions for the root finder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RootError {
     /// `f(a)` and `f(b)` have the same sign — no bracket.
@@ -26,43 +25,6 @@ impl std::fmt::Display for RootError {
 }
 
 impl std::error::Error for RootError {}
-
-/// Plain bisection on `[a, b]`; requires a sign change.
-///
-/// Converges unconditionally; ~50 iterations reach `f64` resolution on any
-/// reasonable interval.
-pub fn bisect<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-) -> Result<f64, RootError> {
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NoBracket);
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (a + b);
-        let fm = f(mid);
-        if fm == 0.0 || (b - a).abs() <= tol {
-            return Ok(mid);
-        }
-        if fm.signum() == fa.signum() {
-            a = mid;
-            fa = fm;
-        } else {
-            b = mid;
-        }
-    }
-    Err(RootError::NoConvergence)
-}
 
 /// Brent's method: inverse-quadratic / secant steps with a bisection
 /// safety net. Superlinear in practice, never worse than bisection.
@@ -139,26 +101,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-11);
-    }
-
-    #[test]
-    fn bisect_exact_endpoint() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn bisect_no_bracket() {
-        assert_eq!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12),
-            Err(RootError::NoBracket)
-        );
-    }
 
     #[test]
     fn brent_finds_sqrt2_fast() {

@@ -4,8 +4,7 @@
 //! the drawn inputs plus the seed that reproduces it.
 
 use banyan_numerics::fft::{convolve, fft, ifft};
-use banyan_numerics::poly::Poly;
-use banyan_numerics::series::{finite_derivatives, kahan_sum};
+use banyan_numerics::series::kahan_sum;
 use banyan_numerics::special::{binomial, ln_gamma, reg_gamma_lower, reg_gamma_upper};
 use banyan_numerics::{brent, Complex};
 use banyan_prng::check::check;
@@ -114,31 +113,6 @@ fn kahan_matches_exact_on_integers() {
         let exact: i64 = xs.iter().sum();
         assert_eq!(kahan_sum(&floats), exact as f64);
         assert_eq!(kahan_sum(&[]), 0.0);
-    });
-}
-
-#[test]
-fn poly_derivative_at_matches_finite_difference() {
-    check(CASES, |g| {
-        let coeffs = g.vec_with(1..8, |g| g.f64(-3.0..3.0));
-        let x = g.f64(-1.5..1.5);
-        let p = Poly::new(coeffs);
-        let (d1, _, _) = finite_derivatives(|t| p.eval(t), x, 1e-4);
-        let exact = p.derivative_at(1, x);
-        assert!((d1 - exact).abs() < 1e-5 * (1.0 + exact.abs()));
-    });
-}
-
-#[test]
-fn poly_mul_evaluates_as_product() {
-    check(CASES, |g| {
-        let a = g.vec_with(1..6, |g| g.f64(-2.0..2.0));
-        let b = g.vec_with(1..6, |g| g.f64(-2.0..2.0));
-        let x = g.f64(-1.0..1.0);
-        let pa = Poly::new(a);
-        let pb = Poly::new(b);
-        let prod = pa.mul(&pb);
-        assert!((prod.eval(x) - pa.eval(x) * pb.eval(x)).abs() < 1e-9);
     });
 }
 

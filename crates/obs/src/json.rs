@@ -193,11 +193,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// True for the `null` literal.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -440,9 +435,9 @@ mod tests {
             .field_f64("ninf", f64::NEG_INFINITY)
             .field_f64("ok", -0.125);
         let doc = JsonValue::parse(&o.finish()).expect("parse");
-        assert!(doc.get("nan").unwrap().is_null());
-        assert!(doc.get("inf").unwrap().is_null());
-        assert!(doc.get("ninf").unwrap().is_null());
+        assert_eq!(doc.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("inf"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("ninf"), Some(&JsonValue::Null));
         assert_eq!(doc.get("ok").and_then(JsonValue::as_f64), Some(-0.125));
     }
 
@@ -462,7 +457,7 @@ mod tests {
         let list = doc.get("list").and_then(JsonValue::as_array).expect("array");
         assert_eq!(list.len(), 7);
         assert_eq!(list[0].as_u64(), Some(1));
-        assert!(list[2].is_null());
+        assert_eq!(list[2], JsonValue::Null);
         assert_eq!(list[4], JsonValue::Bool(true));
     }
 

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json::{escape, fmt_f64, JsonObject};
+use crate::json::{escape, JsonObject};
 
 /// The standard report quantiles: p50 / p90 / p99 / p999.
 pub const REPORT_QUANTILES: [f64; 4] = [0.50, 0.90, 0.99, 0.999];
@@ -488,16 +488,6 @@ impl SketchSet {
             .collect();
         format!("{{{}}}", parts.join(", "))
     }
-}
-
-/// Convenience: format an `(value, prob)` list as a JSON array of
-/// `[v, p]` pairs (used by drift reports).
-pub fn points_json(points: &[(u64, f64)]) -> String {
-    let parts: Vec<String> = points
-        .iter()
-        .map(|&(v, p)| format!("[{}, {}]", v, fmt_f64(p)))
-        .collect();
-    format!("[{}]", parts.join(", "))
 }
 
 #[cfg(test)]

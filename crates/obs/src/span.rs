@@ -65,7 +65,7 @@ impl SpanStat {
 /// Shared, thread-safe collection of span timings.
 ///
 /// Besides the per-path aggregate [`SpanStat`]s, every completed span
-/// also appends a [`SpanEvent`] (bounded by [`MAX_TRACE_EVENTS`]) for
+/// also appends a [`SpanEvent`] (bounded by `MAX_TRACE_EVENTS`) for
 /// `chrome://tracing` export, and feeds a per-path P² [`QuantileSet`]
 /// of durations in seconds (p50/p90/p99/p999 of span wall time).
 #[derive(Debug)]

@@ -9,7 +9,7 @@
 //! still on theory?" gauge surfaced in run manifests.
 
 use crate::json::JsonObject;
-use crate::sketch::{points_json, DistSketch};
+use crate::sketch::DistSketch;
 
 /// Complementary CDF points `(t, P(X >= t))` at the sketch's support
 /// values, ascending. Exact: integer tail counts divided once, never
@@ -184,11 +184,6 @@ impl DriftReport {
         };
         o.finish()
     }
-}
-
-/// Serialize the tail of a sketch (`(t, P(X >= t))` pairs) as JSON.
-pub fn ccdf_json(sketch: &DistSketch) -> String {
-    points_json(&ccdf_points(sketch))
 }
 
 /// Format a drift list as a JSON array.

@@ -47,11 +47,6 @@ impl Binomial {
         Binomial { n, p }
     }
 
-    /// Mean `np`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
     /// Draws one batch count in `0..=n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         (0..self.n).filter(|_| rng.gen_bool(self.p)).count() as u32
@@ -111,7 +106,6 @@ mod tests {
     #[test]
     fn binomial_mean_and_support() {
         let d = Binomial::new(8, 0.25);
-        assert_eq!(d.mean(), 2.0);
         let mut rng = SmallRng::seed_from_u64(2);
         let n = 50_000;
         let mut sum = 0u64;

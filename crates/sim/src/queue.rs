@@ -16,7 +16,6 @@ use crate::traffic::ServiceDist;
 use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
 use banyan_prng::{Rng, SeedableRng};
-use banyan_stats::CorrelationMatrix;
 
 /// Per-cycle batch-size (message-count) distribution at the queue.
 #[derive(Clone, Debug)]
@@ -62,18 +61,6 @@ pub enum ArrivalDist {
 }
 
 impl ArrivalDist {
-    /// Mean messages per cycle `λ`.
-    pub fn lambda(&self) -> f64 {
-        match self {
-            ArrivalDist::UniformSwitch { k, s, p } => *k as f64 * p / *s as f64,
-            ArrivalDist::BulkSwitch { k, s, p, b } => *k as f64 * p * *b as f64 / *s as f64,
-            ArrivalDist::Nonuniform { p, b, .. } => p * *b as f64,
-            ArrivalDist::Tabulated(pmf) => {
-                pmf.iter().enumerate().map(|(j, &g)| j as f64 * g).sum()
-            }
-        }
-    }
-
     /// Draws the number of messages arriving in one cycle.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         match self {
@@ -146,9 +133,6 @@ pub struct QueueStats {
     pub backlog: DistSketch,
     /// Measured cycles in which the server was busy.
     pub busy_cycles: u64,
-    /// Joint counts of the 0/1 busy indicator at lags 1..=4: index
-    /// `l − 1` holds the pairs (busy `l` cycles ago, busy now).
-    busy_lags: [CorrelationMatrix; 4],
 }
 
 impl QueueStats {
@@ -157,7 +141,6 @@ impl QueueStats {
             wait: DistSketch::new(),
             backlog: DistSketch::new(),
             busy_cycles: 0,
-            busy_lags: std::array::from_fn(|_| CorrelationMatrix::new(2)),
         }
     }
 
@@ -173,23 +156,12 @@ impl QueueStats {
         self.busy_cycles as f64 / self.backlog.total().max(1) as f64
     }
 
-    /// Lag-1..=4 autocorrelation of the busy indicator — the queue's
-    /// *output* process. Nonzero values are exactly why the paper cannot
-    /// analyze stage 2 exactly ("the inputs at successive cycles are not
-    /// independent", §IV): this output feeds the next stage.
-    pub fn output_autocorr(&self) -> [f64; 4] {
-        std::array::from_fn(|l| self.busy_lags[l].correlation(0, 1))
-    }
-
     /// Merges an independent replication: integer addition, so the
     /// fractions of the result pool every replication's cycles.
     pub fn merge(&mut self, other: &QueueStats) {
         self.wait.merge(&other.wait);
         self.backlog.merge(&other.backlog);
         self.busy_cycles += other.busy_cycles;
-        for (a, b) in self.busy_lags.iter_mut().zip(&other.busy_lags) {
-            a.merge(b);
-        }
     }
 }
 
@@ -201,10 +173,6 @@ struct LindleyState {
     /// Unfinished work at end of previous cycle.
     s: u64,
     stats: QueueStats,
-    /// Busy indicators of the last four measured cycles, most recent
-    /// first; the first `history_len` are valid.
-    busy_history: [u32; 4],
-    history_len: usize,
 }
 
 impl LindleyState {
@@ -214,8 +182,6 @@ impl LindleyState {
             rng: SmallRng::seed_from_u64(cfg.seed),
             s: 0,
             stats: QueueStats::new(),
-            busy_history: [0; 4],
-            history_len: 0,
         }
     }
 
@@ -234,26 +200,14 @@ impl LindleyState {
         let backlog = self.s + batch_work;
         self.s = backlog.saturating_sub(1);
         if measuring {
-            let busy = u32::from(backlog > 0);
-            let st = &mut self.stats;
-            st.busy_cycles += u64::from(busy);
-            st.backlog.record(self.s);
-            for (lagged, &then) in st.busy_lags[..self.history_len]
-                .iter_mut()
-                .zip(&self.busy_history)
-            {
-                lagged.push(&[then, busy]);
-            }
-            // Shift ring: history[0] = most recent.
-            self.busy_history.rotate_right(1);
-            self.busy_history[0] = busy;
-            self.history_len = (self.history_len + 1).min(4);
+            self.stats.busy_cycles += u64::from(backlog > 0);
+            self.stats.backlog.record(self.s);
         }
     }
 }
 
 /// A minimal reusable Lindley cell: the bare batch-arrival single-server
-/// queue dynamics of [`LindleyState::step`] (same clocked semantics —
+/// queue dynamics of `LindleyState::step` (same clocked semantics —
 /// FIFO within a cycle's batch, one unit of work retired per cycle)
 /// without any statistics machinery. External drivers that model a
 /// network of output ports — e.g. the `banyan-flow` event check, where
@@ -278,7 +232,7 @@ impl PortQueue {
     /// Enqueues one arrival with service demand `service` cycles and
     /// returns its waiting time: the backlog carried in from previous
     /// cycles plus the work of same-cycle arrivals already queued ahead
-    /// of it (`w = s + batch_work`, exactly as [`LindleyState::step`]
+    /// of it (`w = s + batch_work`, exactly as `LindleyState::step`
     /// computes it).
     pub fn arrive(&mut self, service: u64) -> u64 {
         let wait = self.backlog + self.batch_work;
@@ -525,19 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn lambda_helpers() {
-        assert!((ArrivalDist::UniformSwitch { k: 4, s: 8, p: 0.6 }.lambda() - 0.3).abs() < 1e-15);
-        assert!(
-            (ArrivalDist::BulkSwitch { k: 2, s: 2, p: 0.1, b: 4 }.lambda() - 0.4).abs() < 1e-15
-        );
-        assert!(
-            (ArrivalDist::Nonuniform { k: 2, p: 0.5, q: 0.3, b: 2 }.lambda() - 1.0).abs()
-                < 1e-15
-        );
-        assert!((ArrivalDist::Tabulated(vec![0.5, 0.25, 0.25]).lambda() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
     fn instrumented_queue_run_is_bit_identical_and_records() {
         use banyan_obs::TelemetryConfig;
         let cfg = QueueConfig {
@@ -575,35 +516,6 @@ mod tests {
             ServiceDist::Constant(1),
         );
         assert_eq!(run_queue(&cfg), run_queue(&cfg));
-    }
-
-    #[test]
-    fn output_process_has_memory() {
-        // §IV's premise: the output of a queue (the next stage's input)
-        // is NOT a memoryless stream — the busy indicator has positive
-        // autocorrelation that decays with lag.
-        let stats = quick(
-            ArrivalDist::UniformSwitch { k: 2, s: 2, p: 0.5 },
-            ServiceDist::Constant(1),
-        );
-        let ac = stats.output_autocorr();
-        assert!(ac[0] > 0.05, "lag-1 autocorr {:.4} should be clearly positive", ac[0]);
-        assert!(ac[0] > ac[1] && ac[1] > ac[2], "autocorrelation should decay: {ac:?}");
-        assert!(ac[3] < ac[0] / 2.0, "long-lag memory should fade: {ac:?}");
-    }
-
-    #[test]
-    fn bernoulli_stream_without_queueing_is_memoryless() {
-        // Sanity check of the estimator itself: single arrivals with unit
-        // service never queue (w ≡ 0) and the busy process is i.i.d.
-        // Bernoulli — autocorrelation ≈ 0.
-        let stats = quick(
-            ArrivalDist::Tabulated(vec![0.5, 0.5]),
-            ServiceDist::Constant(1),
-        );
-        for (lag, &ac) in stats.output_autocorr().iter().enumerate() {
-            assert!(ac.abs() < 0.01, "lag {} autocorr {ac}", lag + 1);
-        }
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl OmegaTopology {
             })
             .collect()
     }
-
-    /// The switch index (within its stage) that a stage-output wire
-    /// belongs to.
-    pub fn switch_of_output(&self, wire: u64) -> u64 {
-        wire / self.k as u64
-    }
 }
 
 #[cfg(test)]
@@ -244,10 +238,6 @@ mod tests {
     fn switch_grouping() {
         let t = OmegaTopology::new(4, 2);
         assert_eq!(t.switches_per_stage(), 4);
-        assert_eq!(t.switch_of_output(0), 0);
-        assert_eq!(t.switch_of_output(3), 0);
-        assert_eq!(t.switch_of_output(4), 1);
-        assert_eq!(t.switch_of_output(15), 3);
     }
 
     #[test]

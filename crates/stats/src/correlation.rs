@@ -114,13 +114,6 @@ impl CorrelationMatrix {
         }
     }
 
-    /// The full correlation matrix, row-major.
-    pub fn correlation_matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.dim)
-            .map(|i| (0..self.dim).map(|j| self.correlation(i, j)).collect())
-            .collect()
-    }
-
     /// Variance of the coordinate sum, `Σ_i Σ_j cov(i, j)` — this is the
     /// quantity §V approximates with the geometric covariance model.
     pub fn sum_variance(&self) -> f64 {
@@ -277,18 +270,6 @@ mod tests {
             assert_eq!(a, whole, "split {split}");
             assert_eq!(ba, whole, "split {split}, reversed");
         }
-    }
-
-    #[test]
-    fn correlation_matrix_shape() {
-        let mut m = CorrelationMatrix::new(4);
-        for i in 0..20u32 {
-            m.push(&[i, i * i, i % 3, 2]);
-        }
-        let mat = m.correlation_matrix();
-        assert_eq!(mat.len(), 4);
-        assert!(mat.iter().all(|row| row.len() == 4));
-        assert!((0..4).all(|i| mat[i][i] == 1.0));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! and variance to be a good approximation [of the total waiting time] for
 //! even small networks." The smooth curves in Figs. 3–8 are exactly this
 //! distribution; [`Gamma::from_mean_var`] performs the fit and the methods
-//! here evaluate the density, CDF, tail, quantiles, and per-integer-bin
+//! here evaluate the CDF, tail, quantiles, and per-integer-bin
 //! probabilities used to overlay the simulated histograms.
 
-use banyan_numerics::special::{inv_reg_gamma, ln_gamma, reg_gamma_lower, reg_gamma_upper};
+use banyan_numerics::special::{inv_reg_gamma, reg_gamma_lower, reg_gamma_upper};
 
 /// A gamma distribution with shape `α > 0` and scale `θ > 0`
 /// (mean `αθ`, variance `αθ²`).
@@ -68,26 +68,6 @@ impl Gamma {
         self.shape * self.scale * self.scale
     }
 
-    /// Probability density at `x` (0 for `x < 0`).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            // Limit at the origin: finite only for α >= 1.
-            return if self.shape > 1.0 {
-                0.0
-            } else if self.shape == 1.0 {
-                1.0 / self.scale
-            } else {
-                f64::INFINITY
-            };
-        }
-        let a = self.shape;
-        let t = x / self.scale;
-        ((a - 1.0) * t.ln() - t - ln_gamma(a)).exp() / self.scale
-    }
-
     /// Cumulative distribution `P(X <= x)`.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
@@ -139,7 +119,6 @@ impl Gamma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banyan_numerics::quadrature::integrate;
 
     #[test]
     fn moment_fit_round_trips() {
@@ -174,19 +153,9 @@ mod tests {
     fn exponential_special_case() {
         // shape 1, scale 2 is Exp(rate 1/2).
         let g = Gamma::new(1.0, 2.0);
-        assert!((g.pdf(0.0) - 0.5).abs() < 1e-15);
         for &x in &[0.1, 1.0, 3.0, 10.0] {
             assert!((g.cdf(x) - (1.0 - (-x / 2.0f64).exp())).abs() < 1e-12);
             assert!((g.sf(x) - (-x / 2.0f64).exp()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pdf_integrates_to_cdf() {
-        let g = Gamma::new(3.3, 1.7);
-        for &x in &[0.5, 2.0, 6.0, 15.0] {
-            let v = integrate(&|t| g.pdf(t), 0.0, x, 1e-12);
-            assert!((v - g.cdf(x)).abs() < 1e-8, "x={x}");
         }
     }
 
@@ -252,14 +221,6 @@ mod tests {
         let got = g.quantile(0.5);
         assert!((got - oracle).abs() <= 1e-12 * oracle, "{got:e} vs {oracle:e}");
         assert!((8.9e-14..9.0e-14).contains(&got), "{got:e}");
-    }
-
-    #[test]
-    fn pdf_at_origin_by_shape() {
-        assert_eq!(Gamma::new(2.0, 1.0).pdf(0.0), 0.0);
-        assert_eq!(Gamma::new(1.0, 1.0).pdf(0.0), 1.0);
-        assert_eq!(Gamma::new(0.5, 1.0).pdf(0.0), f64::INFINITY);
-        assert_eq!(Gamma::new(2.0, 1.0).pdf(-1.0), 0.0);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 #      hermetic by construction; this catches regressions).
 #   2. The workspace builds and tests with --offline.
 #   3. If clippy is installed, it must pass with -D warnings.
+#   4. rustdoc must build every crate's docs without a warning.
 #
 # Usage:
 #   scripts/verify.sh           # full tier-1 run, per-suite wall times
@@ -375,5 +376,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "== clippy not installed; skipping =="
 fi
+
+# Broken or private intra-doc links (say, to a deleted module) fail here.
+echo "== rustdoc (-D warnings) =="
+timed "rustdoc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "verify: OK"

@@ -245,7 +245,8 @@ pub fn probe_drift(q: &Query, model: &AnalyticModel, settings: SimSettings) -> D
 }
 
 /// Renders the analytic answer body. Every float goes through
-/// [`fmt_f64`] so clients re-parse the library's values bit for bit.
+/// [`banyan_obs::json::fmt_f64`] so clients re-parse the library's
+/// values bit for bit.
 pub fn analytic_body(q: &Query, model: &AnalyticModel, drift_ks: Option<f64>) -> String {
     let wait_q: Vec<f64> = LEVELS.iter().map(|&l| model.wait_quantile(l)).collect();
     // Cut-through pipeline: delay = waiting + (n − 1) + service. For
@@ -358,16 +359,6 @@ fn render_body(
     body
 }
 
-/// Convenience used by tests: pull a float field out of a rendered
-/// answer, failing loudly on absent paths.
-pub fn body_f64(body: &str, section: &str, field: &str) -> f64 {
-    let doc = banyan_obs::json::JsonValue::parse(body).expect("answer body parses");
-    doc.get(section)
-        .and_then(|s| s.get(field))
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("missing {section}.{field} in {body}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +366,16 @@ mod tests {
 
     fn q(json: &str) -> Query {
         Query::from_json(json).unwrap()
+    }
+
+    /// Pulls a float field out of a rendered answer, failing loudly on
+    /// absent paths.
+    fn body_f64(body: &str, section: &str, field: &str) -> f64 {
+        let doc = banyan_obs::json::JsonValue::parse(body).expect("answer body parses");
+        doc.get(section)
+            .and_then(|s| s.get(field))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("missing {section}.{field} in {body}"))
     }
 
     #[test]

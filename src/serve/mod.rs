@@ -172,11 +172,6 @@ impl ServerState {
         &self.ops
     }
 
-    /// Cached-answer count.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Requests shutdown: sets the flag and wakes every accept loop
     /// with a throwaway connection. Idempotent.
     pub fn request_shutdown(&self) {

@@ -135,7 +135,7 @@ impl Query {
         Query::from_flags(&flags_from_query_string(qs)?)
     }
 
-    /// Offered load ρ = p · E[m].
+    /// Offered load `ρ = p · E[m]`.
     pub fn rho(&self) -> f64 {
         self.p * self.service.mean()
     }
