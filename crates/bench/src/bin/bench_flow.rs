@@ -13,6 +13,7 @@
 //! `--quick` shrinks the repeat counts and simulation budget for smoke
 //! runs.
 
+use banyan_bench::manifest::workspace_root;
 use banyan_obs::json::JsonObject;
 use banyan_obs::tail::{table_cdf, DriftReport};
 use banyan_obs::{Manifest, Telemetry, TelemetryConfig};
@@ -87,16 +88,6 @@ fn run_case(name: &str, graph: &FlowGraph, repeats: u32, tel: &Telemetry) -> Row
         max_mean_wait,
     );
     row
-}
-
-/// The nearest ancestor holding a `Cargo.lock` (same convention as
-/// `bench_serve`), so results land in the workspace `results/`.
-fn workspace_root() -> std::path::PathBuf {
-    let cwd = std::env::current_dir().expect("current dir");
-    cwd.ancestors()
-        .find(|d| d.join("Cargo.lock").is_file())
-        .unwrap_or(&cwd)
-        .to_path_buf()
 }
 
 fn main() {

@@ -22,6 +22,7 @@
 //!
 //! `--quick` shrinks request counts for smoke runs.
 
+use banyan_bench::manifest::workspace_root;
 use banyan_obs::json::JsonObject;
 use banyan_obs::Manifest;
 use banyan_repro::serve::http::Client;
@@ -158,16 +159,6 @@ fn run_phase(
         row.errors,
     );
     row
-}
-
-/// The nearest ancestor holding a `Cargo.lock` (same convention as the
-/// micro-bench harness), so results land in the workspace `results/`.
-fn workspace_root() -> std::path::PathBuf {
-    let cwd = std::env::current_dir().expect("current dir");
-    cwd.ancestors()
-        .find(|d| d.join("Cargo.lock").is_file())
-        .unwrap_or(&cwd)
-        .to_path_buf()
 }
 
 fn main() {

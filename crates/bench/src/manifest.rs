@@ -132,7 +132,7 @@ pub fn emit_with_manifest(name: &str, job: impl FnOnce(&Scale) -> String) {
 /// (`cargo bench` sets the working directory to the *package* root, so
 /// a bare relative path would scatter output across crates). Falls back
 /// to the current directory outside any workspace.
-pub(crate) fn workspace_root() -> PathBuf {
+pub fn workspace_root() -> PathBuf {
     let cwd = std::env::current_dir().expect("current dir");
     cwd.ancestors()
         .find(|d| d.join("Cargo.lock").is_file())

@@ -250,29 +250,20 @@ pub fn probe_drift(q: &Query, model: &AnalyticModel, settings: SimSettings) -> D
 pub fn analytic_body(q: &Query, model: &AnalyticModel, drift_ks: Option<f64>) -> String {
     let wait_q: Vec<f64> = LEVELS.iter().map(|&l| model.wait_quantile(l)).collect();
     // Cut-through pipeline: delay = waiting + (n − 1) + service. For
-    // the §V model this reproduces `delay_quantile` / `mean_total_delay`
-    // exactly (f64 addition of the same exact-integer shift).
-    let (delay_mean, delay_q): (f64, Vec<f64>) = match model {
-        AnalyticModel::Total(t) => (
-            t.mean_total_delay(),
-            LEVELS.iter().map(|&l| t.delay_quantile(l)).collect(),
-        ),
-        _ => {
-            let shift = (q.stages - 1) as f64 + q.service.mean();
-            (
-                model.mean_wait() + shift,
-                wait_q.iter().map(|w| w + shift).collect(),
-            )
-        }
-    };
+    // the §V model this is `delay_quantile` / `mean_total_delay` bit for
+    // bit: the same exact-integer shift added to the same f64, without
+    // inverting the gamma a second time per level.
+    let shift = (q.stages - 1) as f64 + q.service.mean();
+    let mean_wait = model.mean_wait();
+    let delay_q: Vec<f64> = wait_q.iter().map(|w| w + shift).collect();
     render_body(
         q,
         "analytic",
         model.name(),
-        model.mean_wait(),
+        mean_wait,
         model.var_wait(),
         &wait_q,
-        delay_mean,
+        mean_wait + shift,
         &delay_q,
         drift_ks,
         None,
@@ -406,30 +397,44 @@ mod tests {
 
     #[test]
     fn analytic_body_matches_library_bit_for_bit() {
-        let query = q(r#"{"k":2,"stages":6,"p":0.5,"m":1,"mode":"analytic"}"#);
-        let model = AnalyticModel::for_query(&query).unwrap();
-        let body = analytic_body(&query, &model, None);
-        let t = TotalWaiting::new(2, 6, 0.5, 1);
-        assert_eq!(
-            body_f64(&body, "wait", "mean").to_bits(),
-            t.mean_total().to_bits()
-        );
-        assert_eq!(
-            body_f64(&body, "wait", "var").to_bits(),
-            t.var_total().to_bits()
-        );
-        assert_eq!(
-            body_f64(&body, "wait", "p99").to_bits(),
-            t.gamma().unwrap().quantile(0.99).to_bits()
-        );
-        assert_eq!(
-            body_f64(&body, "delay", "p999").to_bits(),
-            t.delay_quantile(0.999).to_bits()
-        );
-        assert_eq!(
-            body_f64(&body, "delay", "mean").to_bits(),
-            t.mean_total_delay().to_bits()
-        );
+        // Every level, wait and delay, over a grid that includes zero
+        // load (no gamma: every quantile is the point mass) and
+        // multi-cycle messages (a non-unit shift).
+        let mut checked = 0;
+        for k in [2u32, 3, 4, 8, 16] {
+            for stages in [1u32, 2, 6, 12] {
+                for m in [1u32, 2, 4] {
+                    for milli in [0u32, 1, 125, 333, 500, 901] {
+                        let p = f64::from(milli) / 1000.0;
+                        if p * f64::from(m) >= 1.0 {
+                            continue;
+                        }
+                        let query = q(&format!(
+                            r#"{{"k":{k},"stages":{stages},"p":{p},"m":{m},"mode":"analytic"}}"#
+                        ));
+                        let model = AnalyticModel::for_query(&query).unwrap();
+                        let body = analytic_body(&query, &model, None);
+                        let t = TotalWaiting::new(k, stages, p, m);
+                        let bits = |section: &str, field: &str| body_f64(&body, section, field).to_bits();
+                        let at = format!("k={k} n={stages} m={m} p={p}");
+                        assert_eq!(bits("wait", "mean"), t.mean_total().to_bits(), "{at}");
+                        assert_eq!(bits("wait", "var"), t.var_total().to_bits(), "{at}");
+                        assert_eq!(bits("delay", "mean"), t.mean_total_delay().to_bits(), "{at}");
+                        for (label, level) in LEVEL_LABELS.iter().zip(LEVELS) {
+                            let wait = t.gamma().map_or(0.0, |g| g.quantile(level));
+                            assert_eq!(bits("wait", label), wait.to_bits(), "{at} {label}");
+                            assert_eq!(
+                                bits("delay", label),
+                                t.delay_quantile(level).to_bits(),
+                                "{at} {label}"
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 150, "{checked}");
     }
 
     #[test]

@@ -254,27 +254,86 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Appends the decimal rendering of `v` to `buf` without going through
+/// `core::fmt`: message heads and access-log lines are on the serve
+/// request path, and formatter dispatch is measurable there.
+pub(crate) fn push_u64(buf: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 /// Writes `resp` with explicit framing; `keep_alive` selects the
 /// `Connection` header.
+///
+/// The status line, headers and body go out in one `write_all` on one
+/// buffer. On a `TCP_NODELAY` socket a separate head write leaves as a
+/// segment of its own and wakes the reader twice per response.
 pub fn write_response(
     stream: &mut impl Write,
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        resp.status,
-        reason(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
+    let reason = reason(resp.status);
+    let extra: usize = resp
+        .extra_headers
+        .iter()
+        .map(|(name, value)| name.len() + value.len() + 4)
+        .sum();
+    // 96 bytes hold the fixed text of the head and both numbers.
+    let mut msg =
+        String::with_capacity(96 + reason.len() + resp.content_type.len() + extra + resp.body.len());
+    msg.push_str("HTTP/1.1 ");
+    push_u64(&mut msg, u64::from(resp.status));
+    msg.push(' ');
+    msg.push_str(reason);
+    msg.push_str("\r\ncontent-type: ");
+    msg.push_str(resp.content_type);
+    msg.push_str("\r\ncontent-length: ");
+    push_u64(&mut msg, resp.body.len() as u64);
+    msg.push_str(if keep_alive {
+        "\r\nconnection: keep-alive\r\n"
+    } else {
+        "\r\nconnection: close\r\n"
+    });
     for (name, value) in &resp.extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        msg.push_str(name);
+        msg.push_str(": ");
+        msg.push_str(value);
+        msg.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    msg.push_str("\r\n");
+    msg.push_str(&resp.body);
+    stream.write_all(msg.as_bytes())?;
+    stream.flush()
+}
+
+/// Writes one request as [`Client`] frames it (`host` and
+/// `content-length` headers, then the body) with a single `write_all`,
+/// for the same reason as [`write_response`].
+fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    target: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let mut msg = String::with_capacity(64 + method.len() + target.len() + body.len());
+    msg.push_str(method);
+    msg.push(' ');
+    msg.push_str(target);
+    msg.push_str(" HTTP/1.1\r\nhost: banyan\r\ncontent-length: ");
+    push_u64(&mut msg, body.len() as u64);
+    msg.push_str("\r\n\r\n");
+    msg.push_str(body);
+    stream.write_all(msg.as_bytes())?;
     stream.flush()
 }
 
@@ -323,17 +382,12 @@ impl Client {
         target: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: banyan\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        {
-            let mut stream = self.reader.get_ref();
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(body.as_bytes())?;
-            stream.flush()?;
-        }
+        write_request(
+            &mut self.reader.get_ref(),
+            method,
+            target,
+            body.unwrap_or(""),
+        )?;
         self.read_response()
     }
 
@@ -458,6 +512,89 @@ mod tests {
     fn short_body_is_bad() {
         let raw = "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
         assert!(matches!(parse(raw), Err(HttpError::Bad(_))));
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_with_unchanged_framing() {
+        let cases = [
+            (
+                Response::json(200, "{\"ok\": true}".to_string())
+                    .with_header("X-Banyan-Cache", "hit")
+                    .with_header("X-Banyan-Source", "analytic"),
+                true,
+            ),
+            (Response::error(404, "unknown path '/nope'"), false),
+            (Response::exposition(200, String::new()), true),
+            (Response::json(413, "x".repeat(70_000)), false),
+        ];
+        for (resp, keep_alive) in cases {
+            let mut head = format!(
+                "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+                resp.status,
+                reason(resp.status),
+                resp.content_type,
+                resp.body.len(),
+                if keep_alive { "keep-alive" } else { "close" },
+            );
+            for (name, value) in &resp.extra_headers {
+                head.push_str(&format!("{name}: {value}\r\n"));
+            }
+            let expected = format!("{head}\r\n{}", resp.body);
+            let mut out = CountingWriter::default();
+            write_response(&mut out, &resp, keep_alive).unwrap();
+            assert_eq!(out.writes, 1, "status {}", resp.status);
+            assert_eq!(out.bytes, expected.as_bytes(), "status {}", resp.status);
+        }
+    }
+
+    #[test]
+    fn each_request_is_one_write_with_unchanged_framing() {
+        for (method, target, body) in [
+            ("GET", "/query?k=2&p=0.5", ""),
+            ("POST", "/query", "{\"k\": 2, \"p\": 0.5}"),
+            ("POST", "/v1/batch", "[{\"p\": 0.1}, {\"p\": 0.2}]"),
+        ] {
+            let expected = format!(
+                "{method} {target} HTTP/1.1\r\nhost: banyan\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let mut out = CountingWriter::default();
+            write_request(&mut out, method, target, body).unwrap();
+            assert_eq!(out.writes, 1, "{method} {target}");
+            assert_eq!(out.bytes, expected.as_bytes(), "{method} {target}");
+            // The daemon's parser reads back what the client sent.
+            let req = read_request(&mut Cursor::new(out.bytes), DEFAULT_MAX_BODY_BYTES).unwrap();
+            assert_eq!((req.method.as_str(), req.target.as_str()), (method, target));
+            assert_eq!(req.body, body.as_bytes());
+        }
+    }
+
+    #[test]
+    fn push_u64_renders_decimal() {
+        for v in [0, 7, 10, 404, 65_536, u64::MAX] {
+            let mut s = String::from("x");
+            push_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
     }
 
     #[test]

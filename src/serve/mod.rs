@@ -39,7 +39,7 @@ pub mod query;
 
 use answer::{analytic_body, probe_drift, run_sim, sim_body, AnalyticModel, SimSettings};
 use banyan_obs::json::{JsonObject, JsonValue};
-use banyan_obs::{Registry, Telemetry, TelemetryConfig};
+use banyan_obs::{Counter, Gauge, Registry, Telemetry, TelemetryConfig};
 use cache::{AnswerCache, CachedAnswer};
 use flow::FlowQuery;
 use http::{HttpError, Request, Response};
@@ -48,8 +48,8 @@ use query::{Mode, Query};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Daemon configuration (all knobs have serviceable defaults).
 #[derive(Clone, Debug)]
@@ -91,7 +91,9 @@ pub struct ServeConfig {
     /// serves them too — it always does).
     pub admin_addr: Option<String>,
     /// Drift-monitor poll interval in milliseconds (0 disables the
-    /// background re-probe thread; benches set 0 for determinism).
+    /// background re-probes; benches set 0 for determinism). The
+    /// monitor thread runs either way: it flushes the operations plane
+    /// every 25 ms.
     pub drift_poll_ms: u64,
     /// Rolling-window SLO aggregation on the request path (the
     /// `overhead_guard` off-config disables it).
@@ -134,10 +136,97 @@ impl ServeConfig {
     }
 }
 
+/// A registry instrument looked up by name once and then kept, so the
+/// request path does not take the registry's lock and allocate a
+/// `String` key on every count. The lookup happens on first use rather
+/// than at bind: a family enters the registry, and so the `/metrics`
+/// scrape, only once something has counted in it, exactly as with a
+/// lookup per call.
+struct Handle<T> {
+    name: &'static str,
+    resolved: OnceLock<Arc<T>>,
+}
+
+impl<T> Handle<T> {
+    const fn new(name: &'static str) -> Self {
+        Handle {
+            name,
+            resolved: OnceLock::new(),
+        }
+    }
+}
+
+impl Handle<Counter> {
+    fn inc(&self, reg: &Registry) {
+        self.resolved.get_or_init(|| reg.counter(self.name)).inc();
+    }
+}
+
+impl Handle<Gauge> {
+    fn set(&self, reg: &Registry, value: u64) {
+        self.resolved.get_or_init(|| reg.gauge(self.name)).set(value);
+    }
+}
+
+/// The counters and gauges the request path moves, created with the
+/// daemon's state.
+struct ServeMetrics {
+    connections: Handle<Counter>,
+    requests: Handle<Counter>,
+    responses: Handle<Counter>,
+    parse_errors: Handle<Counter>,
+    cache_hits: Handle<Counter>,
+    cache_misses: Handle<Counter>,
+    cache_entries: Handle<Gauge>,
+    query_requests: Handle<Counter>,
+    query_validated: Handle<Counter>,
+    query_errors: Handle<Counter>,
+    flow_requests: Handle<Counter>,
+    flow_validated: Handle<Counter>,
+    flow_errors: Handle<Counter>,
+    batch_requests: Handle<Counter>,
+    batch_errors: Handle<Counter>,
+    batch_element_errors: Handle<Counter>,
+    answer_analytic: Handle<Counter>,
+    answer_probes: Handle<Counter>,
+    answer_sim: Handle<Counter>,
+    answer_sim_fallback: Handle<Counter>,
+    last_ks_ppm: Handle<Gauge>,
+}
+
+impl ServeMetrics {
+    const fn new() -> Self {
+        ServeMetrics {
+            connections: Handle::new("serve.http.connections_total"),
+            requests: Handle::new("serve.http.requests_total"),
+            responses: Handle::new("serve.http.responses_total"),
+            parse_errors: Handle::new("serve.http.parse_errors_total"),
+            cache_hits: Handle::new("serve.cache.hits"),
+            cache_misses: Handle::new("serve.cache.misses"),
+            cache_entries: Handle::new("serve.cache.entries"),
+            query_requests: Handle::new("serve.query.requests_total"),
+            query_validated: Handle::new("serve.query.validated_total"),
+            query_errors: Handle::new("serve.query.errors_total"),
+            flow_requests: Handle::new("serve.flow.requests_total"),
+            flow_validated: Handle::new("serve.flow.validated_total"),
+            flow_errors: Handle::new("serve.flow.errors_total"),
+            batch_requests: Handle::new("serve.batch.requests_total"),
+            batch_errors: Handle::new("serve.batch.errors_total"),
+            batch_element_errors: Handle::new("serve.batch.element_errors_total"),
+            answer_analytic: Handle::new("serve.answer.analytic_total"),
+            answer_probes: Handle::new("serve.answer.probes_total"),
+            answer_sim: Handle::new("serve.answer.sim_total"),
+            answer_sim_fallback: Handle::new("serve.answer.sim_fallback_total"),
+            last_ks_ppm: Handle::new("serve.drift.last_ks_ppm"),
+        }
+    }
+}
+
 /// State shared by the accept loop and every worker.
 pub struct ServerState {
     cfg: ServeConfig,
     tel: Telemetry,
+    metrics: ServeMetrics,
     cache: AnswerCache,
     ops: OpsPlane,
     shutdown: AtomicBool,
@@ -231,6 +320,7 @@ impl Server {
         let state = Arc::new(ServerState {
             cfg,
             tel,
+            metrics: ServeMetrics::new(),
             cache,
             ops,
             shutdown: AtomicBool::new(false),
@@ -258,7 +348,8 @@ impl Server {
     /// worker pool drains accepted connections from an mpsc channel,
     /// each worker handling batched keep-alive requests per
     /// connection. The optional admin listener feeds the same pool
-    /// (its connections tagged admin-only), and the drift monitor
+    /// (its connections tagged admin-only), and the monitor thread
+    /// flushes the operations plane and, when `drift_poll_ms > 0`,
     /// re-probes hot analytic keys in the background.
     pub fn run(self) -> std::io::Result<()> {
         let Server {
@@ -302,10 +393,10 @@ impl Server {
                     let _ = tx.send((stream, true));
                 });
             }
-            if state.cfg.drift_poll_ms > 0 {
+            let monitor = {
                 let state = Arc::clone(&state);
-                scope.spawn(move || drift_monitor(&state));
-            }
+                scope.spawn(move || monitor_loop(&state))
+            };
             let accepted = loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -320,8 +411,9 @@ impl Server {
                 }
             };
             // Idempotent: on the error path this raises the flag so the
-            // admin accept loop and drift monitor also wind down.
+            // admin accept loop and the monitor also wind down.
             state.request_shutdown();
+            monitor.thread().unpark();
             drop(tx);
             accepted
         });
@@ -385,8 +477,8 @@ fn handle_connection(state: &ServerState, stream: TcpStream, admin: bool) {
         .set_read_timeout(Some(Duration::from_millis(state.cfg.read_timeout_ms)))
         .ok();
     stream.set_nodelay(true).ok();
-    let reg = state.tel.registry();
-    reg.counter("serve.http.connections_total").inc();
+    let (reg, m) = (state.tel.registry(), &state.metrics);
+    m.connections.inc(reg);
     let mut reader = BufReader::new(stream);
     loop {
         let req = match http::read_request(&mut reader, state.cfg.max_body_bytes) {
@@ -401,12 +493,12 @@ fn handle_connection(state: &ServerState, stream: TcpStream, admin: bool) {
                     HttpError::Unsupported(m) => Response::error(501, &m),
                     HttpError::Closed | HttpError::Io(_) => unreachable!("handled above"),
                 };
-                reg.counter("serve.http.parse_errors_total").inc();
+                m.parse_errors.inc(reg);
                 write_counted(state, &mut reader, &resp, false);
                 break;
             }
         };
-        reg.counter("serve.http.requests_total").inc();
+        m.requests.inc(reg);
         let keep = {
             let _span = state.tel.span("serve/request");
             // The timer finishes after the response write, so rolling
@@ -432,11 +524,7 @@ fn write_counted(
     resp: &Response,
     keep_alive: bool,
 ) {
-    state
-        .tel
-        .registry()
-        .counter("serve.http.responses_total")
-        .inc();
+    state.metrics.responses.inc(state.tel.registry());
     let mut stream = reader.get_ref();
     let _ = http::write_response(&mut stream, resp, keep_alive);
 }
@@ -571,12 +659,11 @@ fn statusz_body(state: &ServerState) -> String {
     body
 }
 
-/// One drift-monitor pass: flushes the plane's buffers, then re-probes
-/// every hot analytic configuration with a fresh short simulation and
-/// updates the drift gauges `/readyz` consumes. Public so tests (and
-/// the monitor thread) can tick deterministically.
+/// One drift-monitor pass: re-probes every hot analytic configuration
+/// with a fresh short simulation and updates the drift gauges `/readyz`
+/// consumes. Public so tests (and the monitor thread) can tick
+/// deterministically.
 pub fn drift_tick(state: &ServerState) {
-    state.ops.maintenance_flush();
     let reg = state.tel.registry();
     let hot = state.ops.hot_queries();
     let settings = SimSettings {
@@ -603,21 +690,33 @@ pub fn drift_tick(state: &ServerState) {
     }
 }
 
-/// The background drift monitor: sleeps in short steps (so shutdown is
-/// prompt), ticking every `drift_poll_ms`.
-fn drift_monitor(state: &ServerState) {
+/// The monitor loop's step: the longest an access-log line waits to be
+/// written, and the span of requests rolling staging holds.
+const MONITOR_STEP: Duration = Duration::from_millis(25);
+
+/// The background monitor. Every step it flushes the operations plane,
+/// so the access log is written while the daemon runs and rolling
+/// staging stays bounded by the request rate rather than the request
+/// count; the P² folding stays off the request threads. When
+/// `drift_poll_ms > 0` it also runs a [`drift_tick`] that often. It
+/// parks between steps, and [`Server::run`] unparks it at shutdown.
+fn monitor_loop(state: &ServerState) {
     let poll = Duration::from_millis(state.cfg.drift_poll_ms);
-    let step = Duration::from_millis(25).min(poll);
-    let mut slept = Duration::ZERO;
+    let step = if poll.is_zero() {
+        MONITOR_STEP
+    } else {
+        MONITOR_STEP.min(poll)
+    };
+    let mut last_tick = Instant::now();
     loop {
-        std::thread::sleep(step);
+        std::thread::park_timeout(step);
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        slept += step;
-        if slept >= poll {
-            slept = Duration::ZERO;
+        state.ops.maintenance_flush();
+        if !poll.is_zero() && last_tick.elapsed() >= poll {
             drift_tick(state);
+            last_tick = Instant::now();
         }
     }
 }
@@ -633,22 +732,22 @@ fn cached_answer(
     key: String,
     compute: impl FnOnce() -> Result<CachedAnswer, String>,
 ) -> Result<(CachedAnswer, bool), String> {
-    let reg = state.tel.registry();
+    let (reg, m) = (state.tel.registry(), &state.metrics);
     if let Some(hit) = state.cache.get(&key) {
-        reg.counter("serve.cache.hits").inc();
+        m.cache_hits.inc(reg);
         return Ok((hit, true));
     }
-    reg.counter("serve.cache.misses").inc();
+    m.cache_misses.inc(reg);
     let answer = compute()?;
     state.cache.insert(key, answer.clone());
-    reg.gauge("serve.cache.entries").set(state.cache.len() as u64);
+    m.cache_entries.set(reg, state.cache.len() as u64);
     Ok((answer, false))
 }
 
 /// Decodes, caches, and answers a capacity query.
 fn answer_query(state: &ServerState, req: &Request) -> Response {
-    let reg = state.tel.registry();
-    reg.counter("serve.query.requests_total").inc();
+    let (reg, m) = (state.tel.registry(), &state.metrics);
+    m.query_requests.inc(reg);
     let parsed = if req.method == "POST" {
         std::str::from_utf8(&req.body)
             .map_err(|_| "request body is not valid UTF-8".to_string())
@@ -659,17 +758,17 @@ fn answer_query(state: &ServerState, req: &Request) -> Response {
     let query = match parsed {
         Ok(q) => q,
         Err(msg) => {
-            reg.counter("serve.query.errors_total").inc();
+            m.query_errors.inc(reg);
             return Response::error(400, &msg);
         }
     };
-    reg.counter("serve.query.validated_total").inc();
+    m.query_validated.inc(reg);
     match cached_answer(state, query.cache_key(), || compute_answer(state, &query)) {
         Ok((answer, hit)) => Response::json(200, answer.body)
             .with_header("X-Banyan-Cache", if hit { "hit" } else { "miss" })
             .with_header("X-Banyan-Source", answer.source),
         Err(msg) => {
-            reg.counter("serve.query.errors_total").inc();
+            m.query_errors.inc(reg);
             Response::error(422, &msg)
         }
     }
@@ -679,8 +778,8 @@ fn answer_query(state: &ServerState, req: &Request) -> Response {
 /// (`/v1/flow`): the generalized `banyan-flow` engine behind the same
 /// canonical-key cache and counter discipline as `/query`.
 fn answer_flow(state: &ServerState, req: &Request) -> Response {
-    let reg = state.tel.registry();
-    reg.counter("serve.flow.requests_total").inc();
+    let (reg, m) = (state.tel.registry(), &state.metrics);
+    m.flow_requests.inc(reg);
     let parsed = if req.method == "POST" {
         std::str::from_utf8(&req.body)
             .map_err(|_| "request body is not valid UTF-8".to_string())
@@ -691,11 +790,11 @@ fn answer_flow(state: &ServerState, req: &Request) -> Response {
     let fq = match parsed {
         Ok(q) => q,
         Err(msg) => {
-            reg.counter("serve.flow.errors_total").inc();
+            m.flow_errors.inc(reg);
             return Response::error(400, &msg);
         }
     };
-    reg.counter("serve.flow.validated_total").inc();
+    m.flow_validated.inc(reg);
     let compute = || {
         let _span = state.tel.span("serve/flow/analytic");
         Ok(CachedAnswer {
@@ -708,7 +807,7 @@ fn answer_flow(state: &ServerState, req: &Request) -> Response {
             .with_header("X-Banyan-Cache", if hit { "hit" } else { "miss" })
             .with_header("X-Banyan-Source", answer.source),
         Err(msg) => {
-            reg.counter("serve.flow.errors_total").inc();
+            m.flow_errors.inc(reg);
             Response::error(422, &msg)
         }
     }
@@ -724,25 +823,25 @@ const BATCH_MAX: usize = 256;
 /// individually (with the usual validated/hit/miss counters), and a bad
 /// element yields an `{"error": …}` entry instead of failing the batch.
 fn answer_batch(state: &ServerState, req: &Request) -> Response {
-    let reg = state.tel.registry();
-    reg.counter("serve.batch.requests_total").inc();
+    let (reg, m) = (state.tel.registry(), &state.metrics);
+    m.batch_requests.inc(reg);
     let parsed: Result<JsonValue, String> = std::str::from_utf8(&req.body)
         .map_err(|_| "request body is not valid UTF-8".to_string())
         .and_then(|text| JsonValue::parse(text).map_err(|e| format!("invalid JSON body: {e}")));
     let doc = match parsed {
         Ok(doc) => doc,
         Err(msg) => {
-            reg.counter("serve.batch.errors_total").inc();
+            m.batch_errors.inc(reg);
             return Response::error(400, &msg);
         }
     };
     let items = match doc.as_array() {
         Some([]) => {
-            reg.counter("serve.batch.errors_total").inc();
+            m.batch_errors.inc(reg);
             return Response::error(400, "batch array is empty");
         }
         Some(items) if items.len() > BATCH_MAX => {
-            reg.counter("serve.batch.errors_total").inc();
+            m.batch_errors.inc(reg);
             return Response::error(
                 400,
                 &format!("batch of {} elements exceeds the {BATCH_MAX}-element cap", items.len()),
@@ -750,7 +849,7 @@ fn answer_batch(state: &ServerState, req: &Request) -> Response {
         }
         Some(items) => items,
         None => {
-            reg.counter("serve.batch.errors_total").inc();
+            m.batch_errors.inc(reg);
             return Response::error(400, "batch body must be a JSON array of query objects");
         }
     };
@@ -759,7 +858,7 @@ fn answer_batch(state: &ServerState, req: &Request) -> Response {
     for item in items {
         let answered = if item.get("topo").is_some() {
             FlowQuery::from_value(item).and_then(|fq| {
-                reg.counter("serve.flow.validated_total").inc();
+                m.flow_validated.inc(reg);
                 cached_answer(state, fq.cache_key(), || {
                     // Same span as answer_flow, so batch-driven flow
                     // work shows up in span-based observability too.
@@ -772,7 +871,7 @@ fn answer_batch(state: &ServerState, req: &Request) -> Response {
             })
         } else {
             Query::from_value(item).map(|q| (q.cache_key(), q)).and_then(|(key, q)| {
-                reg.counter("serve.query.validated_total").inc();
+                m.query_validated.inc(reg);
                 cached_answer(state, key, || compute_answer(state, &q))
             })
         };
@@ -781,7 +880,7 @@ fn answer_batch(state: &ServerState, req: &Request) -> Response {
             // newline; embedded as array elements they drop it.
             Ok((answer, _)) => answer.body.trim_end().to_string(),
             Err(msg) => {
-                reg.counter("serve.batch.element_errors_total").inc();
+                m.batch_element_errors.inc(reg);
                 let mut e = JsonObject::new();
                 e.field_str("error", &msg);
                 e.finish()
@@ -799,7 +898,7 @@ fn answer_batch(state: &ServerState, req: &Request) -> Response {
 
 /// The drift-gated answer policy.
 fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, String> {
-    let cfg = &state.cfg;
+    let (cfg, reg, m) = (&state.cfg, state.tel.registry(), &state.metrics);
     let sim_settings = SimSettings {
         cycles: cfg.sim_cycles,
         reps: cfg.sim_reps,
@@ -812,7 +911,7 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
                     .to_string()
             })?;
             let _span = state.tel.span("serve/query/analytic");
-            state.tel.registry().counter("serve.answer.analytic_total").inc();
+            m.answer_analytic.inc(reg);
             state.ops.note_hot(query);
             Ok(CachedAnswer {
                 body: analytic_body(query, &model, None),
@@ -834,27 +933,19 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
             };
             let report = {
                 let _span = state.tel.span("serve/query/probe");
-                state.tel.registry().counter("serve.answer.probes_total").inc();
+                m.answer_probes.inc(reg);
                 probe_drift(query, &model, probe_settings)
             };
-            state
-                .tel
-                .registry()
-                .gauge("serve.drift.last_ks_ppm")
-                .set(report.ks_ppm());
+            m.last_ks_ppm.set(reg, report.ks_ppm());
             if report.ks <= cfg.drift_threshold {
                 let _span = state.tel.span("serve/query/analytic");
-                state.tel.registry().counter("serve.answer.analytic_total").inc();
+                m.answer_analytic.inc(reg);
                 Ok(CachedAnswer {
                     body: analytic_body(query, &model, Some(report.ks)),
                     source: "analytic",
                 })
             } else {
-                state
-                    .tel
-                    .registry()
-                    .counter("serve.answer.sim_fallback_total")
-                    .inc();
+                m.answer_sim_fallback.inc(reg);
                 Ok(simulate(state, query, sim_settings, Some(report.ks)))
             }
         }
@@ -869,7 +960,7 @@ fn simulate(
     drift_ks: Option<f64>,
 ) -> CachedAnswer {
     let _span = state.tel.span("serve/query/sim");
-    state.tel.registry().counter("serve.answer.sim_total").inc();
+    state.metrics.answer_sim.inc(state.tel.registry());
     let outcome = run_sim(query, settings);
     state.tel.log_run(format!(
         "sim answer {} cycles={} reps={} delivered={}",

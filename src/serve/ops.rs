@@ -10,7 +10,7 @@
 //! the serve section of the `overhead_guard` bench (≤1.02× with the
 //! plane fully on).
 
-use super::http::{Request, Response};
+use super::http::{push_u64, Request, Response};
 use super::query::Query;
 use banyan_obs::json::JsonObject;
 use banyan_obs::rolling::{RollingStat, QUANTILE_LABELS};
@@ -58,23 +58,6 @@ std::thread_local! {
     /// Reused access-log line buffer — the flush path renders every
     /// staged record without a per-line allocation.
     static LINE_BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
-}
-
-/// Appends the decimal rendering of `v` to `buf` without touching
-/// `core::fmt` — the access-log line is on the serve overhead budget
-/// and formatter dispatch is measurable there.
-fn push_u64(buf: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    buf.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Appends `s` to `buf` with JSON string escaping, allocation-free —
@@ -220,9 +203,10 @@ impl OpsPlane {
         self.hot.lock().expect("hot keys poisoned").clone()
     }
 
-    /// Flushes staged rolling observations and the access log — the
-    /// drift monitor calls this every poll so log lines become durable
-    /// and staging stays small even without scrapes.
+    /// Flushes staged rolling observations and the access log. The
+    /// daemon's monitor loop calls this every step, whether or not
+    /// drift probing is on, so log lines become durable while the
+    /// daemon runs and staging stays small even without scrapes.
     pub fn maintenance_flush(&self) {
         for r in &self.rolling {
             r.flush();
@@ -376,7 +360,7 @@ impl Drop for RequestTimer<'_> {
 
 /// Staged records the access log accepts before dropping new ones
 /// (counted as suppressed) until a flush drains the backlog — bounds
-/// memory when no maintenance thread is running.
+/// memory if flushes fall behind the request rate.
 const LOG_STAGING_CAP: usize = 1 << 16;
 
 /// A string field of a staged access-log record. Routes, methods, and
@@ -430,8 +414,8 @@ struct AccessRecord {
 /// line always emitted; at most one line per sample interval
 /// thereafter — suppressed lines are counted, never blocked on).
 /// Request threads stage compact records; formatting and file I/O
-/// happen on whoever calls [`flush`](Self::flush) — the drift monitor
-/// at its poll cadence, or the shutdown path.
+/// happen on whoever calls [`flush`](Self::flush) — the monitor loop
+/// every step, or the shutdown path.
 struct AccessLog {
     writer: Mutex<BufWriter<File>>,
     staged: Mutex<Vec<AccessRecord>>,

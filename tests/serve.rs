@@ -634,6 +634,44 @@ fn access_log_records_each_route_and_samples_when_asked() {
 }
 
 #[test]
+fn access_log_is_written_while_the_daemon_runs_without_drift_polling() {
+    // With drift probing off, the monitor thread still flushes the
+    // operations plane: every line reaches the file before shutdown,
+    // and none is dropped for a full staging buffer.
+    let log_path = std::env::temp_dir().join(format!(
+        "banyan_serve_test_live_access_{}.jsonl",
+        std::process::id()
+    ));
+    let handle = spawn(|cfg| {
+        cfg.drift_poll_ms = 0;
+        cfg.access_log = Some(log_path.display().to_string());
+    });
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    const N: usize = 300;
+    for _ in 0..N {
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    }
+    let waited = std::time::Instant::now();
+    let lines = loop {
+        let lines = std::fs::read_to_string(&log_path).map_or(0, |t| t.lines().count());
+        if lines >= N || waited.elapsed() > std::time::Duration::from_secs(10) {
+            break lines;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(lines, N, "access log lines before shutdown");
+    let reg = handle.state().telemetry().registry();
+    assert_eq!(reg.counter_value("serve.accesslog.lines_total"), Some(N as u64));
+    assert_eq!(reg.counter_value("serve.accesslog.suppressed_total"), Some(0));
+    drop(client);
+    handle.shutdown().unwrap();
+    let text = std::fs::read_to_string(&log_path).expect("access log");
+    let _ = std::fs::remove_file(&log_path);
+    assert_eq!(text.lines().count(), N, "shutdown adds no lines: {text}");
+}
+
+#[test]
 fn flow_endpoint_serves_cached_byte_identical_answers() {
     let handle = spawn(|_| {});
     let addr = handle.addr().to_string();
