@@ -1,10 +1,11 @@
-//! Runs every experiment and writes the outputs under `results/`.
+//! Runs every experiment and writes the outputs under `results/` at
+//! the workspace root, next to the manifest, from any directory.
 //! `--quick` for a smoke run. Optional args select a subset, e.g.
 //! `repro_all stage totals` (groups: stage, totals, calibration,
 //! ablations, extensions). Writes `results/repro_all.manifest.json`
 //! recording every artifact, per-group wall times, and the telemetry
 //! snapshot of all simulations run.
-use banyan_bench::manifest::RunManifest;
+use banyan_bench::manifest::{workspace_root, RunManifest};
 use std::fs;
 use std::time::Instant;
 
@@ -13,10 +14,10 @@ fn want(selected: &[String], group: &str) -> bool {
 }
 
 fn emit(run: &mut RunManifest, name: &str, t0: Instant, out: &str) {
-    let path = format!("results/{name}.txt");
+    let path = workspace_root().join(format!("results/{name}.txt"));
     fs::write(&path, out).expect("write result");
-    run.artifact(&path);
-    eprintln!("wrote {path} ({:.1}s)", t0.elapsed().as_secs_f64());
+    run.artifact(path.display());
+    eprintln!("wrote {} ({:.1}s)", path.display(), t0.elapsed().as_secs_f64());
     println!("{out}");
 }
 
@@ -31,7 +32,6 @@ fn main() {
         eprintln!("unknown group '{bad}'; valid groups: {}", GROUPS.join(", "));
         std::process::exit(2);
     }
-    fs::create_dir_all("results").expect("create results dir");
     let mut run = RunManifest::start("repro_all", &scale);
     run.config("groups", if selected.is_empty() { "all".to_string() } else { selected.join(",") });
 
@@ -62,10 +62,10 @@ fn main() {
         let runs = totals::TotalRuns::collect(&scale);
         emit(&mut run, "table07_12", t0, &totals::table07_12_from(&runs));
         emit(&mut run, "figures", t0, &totals::figures_from(&runs));
-        let csv = totals::figures_csv_from(&runs);
-        fs::write("results/figures.csv", &csv).expect("write csv");
-        run.artifact("results/figures.csv");
-        eprintln!("wrote results/figures.csv");
+        let csv_path = workspace_root().join("results/figures.csv");
+        fs::write(&csv_path, totals::figures_csv_from(&runs)).expect("write csv");
+        run.artifact(csv_path.display());
+        eprintln!("wrote {}", csv_path.display());
         emit(&mut run, "tail_quality", t0, &totals::tail_quality_from(&runs));
         run.phase("totals");
     }

@@ -25,6 +25,7 @@
 pub mod experiments;
 pub mod manifest;
 pub mod micro;
+pub mod paired;
 pub mod plot;
 pub mod profile;
 pub mod suites;

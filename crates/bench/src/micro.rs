@@ -23,6 +23,7 @@
 
 pub use std::hint::black_box;
 
+use crate::paired::median;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock time for a single timed sample.
@@ -279,19 +280,6 @@ fn calibrate<T>(f: &mut impl FnMut() -> T) -> u64 {
         }
         // Double until the probe is long enough to trust.
         iters = iters.saturating_mul(2);
-    }
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
     }
 }
 

@@ -97,7 +97,7 @@ impl FlowGraph {
     /// contending inputs) or an invalid service distribution.
     pub fn add_node(&mut self, name: impl Into<String>, fan_in: u32, service: ServiceDist) -> NodeId {
         assert!(fan_in >= 2, "node fan-in must be at least 2");
-        service.validate();
+        service.validate().unwrap_or_else(|e| panic!("{e}"));
         self.nodes.push(Node {
             name: name.into(),
             fan_in,

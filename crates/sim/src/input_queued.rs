@@ -82,7 +82,7 @@ pub struct InputQueuedSim {
 impl InputQueuedSim {
     /// Builds the simulator.
     pub fn new(cfg: InputQueuedConfig) -> Self {
-        cfg.workload.validate();
+        cfg.workload.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             (cfg.stages as usize) <= MAX_STAGES,
             "at most {MAX_STAGES} stages supported"

@@ -47,7 +47,7 @@
 //!   remains.
 
 use crate::butterfly::ButterflyTopology;
-use crate::topology::OmegaTopology;
+use crate::topology::{OmegaTopology, MAX_PORTS};
 use crate::traffic::Workload;
 use banyan_obs::msgtrace::RepTrace;
 use banyan_obs::registry::POW2_BOUNDS;
@@ -59,8 +59,18 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard cap on stages (fixed-size per-message wait record).
+/// Hard cap on stages. No data structure needs it: the routing digits
+/// of any network under [`MAX_PORTS`] fit one `u64`, and the waits are
+/// folded into per-stage pmfs as they happen. It bounds the range the
+/// tables and tests cover, and [`check_config`] enforces it.
 pub const MAX_STAGES: usize = 16;
+
+/// Upper bound on the memory one replication allocates up front (see
+/// [`check_config`]): the port array, the `dest → digits` table and a
+/// butterfly routing table. The same 256 MiB as the stage sweep's
+/// bound; every configuration the tables, tests and benchmark run stays
+/// under 50 MiB.
+const MAX_SIM_BYTES: u64 = 1 << 28;
 
 /// Largest butterfly routing table we materialize (entries). Beyond this
 /// the simulator falls back to per-hop digit arithmetic — same wires,
@@ -316,41 +326,97 @@ impl Router {
     }
 }
 
+/// Can the simulator build `cfg`? `Err` names the first requirement
+/// the configuration fails, worded for a command-line or HTTP
+/// diagnosis:
+///
+/// * valid workload parameters, `1 ≤ stages ≤ MAX_STAGES`, `k ≥ 2`, a
+///   buffer capacity of at least one message, and uniform traffic in
+///   random-digit mode;
+/// * at most [`MAX_PORTS`] wires per stage;
+/// * a static working set under 256 MiB: one `Port` per stage and wire,
+///   8 bytes per wire for the destination digits, and 4 bytes per entry
+///   of a materialized butterfly routing table. (Messages in flight come
+///   on top and scale with the load.)
+pub fn check_config(cfg: &NetworkConfig) -> Result<(), String> {
+    cfg.workload.validate()?;
+    if cfg.stages == 0 {
+        return Err("need at least one stage".into());
+    }
+    if cfg.stages as usize > MAX_STAGES {
+        return Err(format!(
+            "at most {MAX_STAGES} stages supported, got {}",
+            cfg.stages
+        ));
+    }
+    if cfg.k < 2 {
+        return Err("switch size must be at least 2".into());
+    }
+    if cfg.buffer_capacity == Some(0) {
+        return Err("buffer capacity must be at least 1 message".into());
+    }
+    let width = match cfg.routing {
+        Routing::Banyan | Routing::Butterfly => cfg.stages,
+        Routing::RandomDigit { .. } if cfg.workload.q != 0.0 => {
+            return Err("random-digit routing is only equivalent for uniform traffic".into());
+        }
+        Routing::RandomDigit { width_log_k: 0 } => return Err("need at least one stage".into()),
+        Routing::RandomDigit { width_log_k } => width_log_k,
+    };
+    let ports = u64::from(cfg.k)
+        .checked_pow(width)
+        .filter(|&p| p <= MAX_PORTS)
+        .ok_or_else(|| {
+            format!(
+                "a network of {}^{width} wires per stage exceeds the {MAX_PORTS}-wire limit",
+                cfg.k
+            )
+        })?;
+    let stages = u64::from(cfg.stages);
+    let queues = ports * stages * std::mem::size_of::<Port>() as u64;
+    let digits = match cfg.routing {
+        Routing::RandomDigit { .. } => 0,
+        Routing::Banyan | Routing::Butterfly => 8 * ports,
+    };
+    let table = stages * ports * u64::from(cfg.k);
+    let router = if cfg.routing == Routing::Butterfly && table <= MAX_ROUTE_TABLE_ENTRIES {
+        4 * table
+    } else {
+        0
+    };
+    let bytes = queues + digits + router;
+    if bytes > MAX_SIM_BYTES {
+        return Err(format!(
+            "k = {}, {} stages needs {} MiB of queues and tables, over the simulator's \
+             per-replication bound of {} MiB",
+            cfg.k,
+            cfg.stages,
+            bytes >> 20,
+            MAX_SIM_BYTES >> 20
+        ));
+    }
+    Ok(())
+}
+
 /// Validates `cfg` and builds its topology. Shared between the scalar
 /// simulator and the stage sweep (`crate::sweep`) so both reject
 /// exactly the same configurations and agree on the port count.
 ///
 /// # Panics
-/// Panics on invalid workload parameters, `stages > MAX_STAGES`, a zero
-/// buffer capacity, or hot-spot traffic in random-digit mode.
+/// Panics on a configuration [`check_config`] refuses.
 pub(crate) fn validate_and_build_topology(cfg: &NetworkConfig) -> OmegaTopology {
-    cfg.workload.validate();
-    assert!(
-        (cfg.stages as usize) <= MAX_STAGES,
-        "at most {MAX_STAGES} stages supported"
-    );
-    if let Some(cap) = cfg.buffer_capacity {
-        assert!(cap >= 1, "buffer capacity must be at least 1 message");
-    }
+    check_config(cfg).expect("invalid network configuration");
     match cfg.routing {
         Routing::Banyan | Routing::Butterfly => OmegaTopology::new(cfg.k, cfg.stages),
-        Routing::RandomDigit { width_log_k } => {
-            assert!(
-                cfg.workload.q == 0.0,
-                "random-digit routing is only equivalent for uniform traffic"
-            );
-            OmegaTopology::new(cfg.k, width_log_k)
-        }
+        Routing::RandomDigit { width_log_k } => OmegaTopology::new(cfg.k, width_log_k),
     }
 }
 
-/// Builds the precomputed router for `cfg` (caller has already validated
-/// the configuration via [`validate_and_build_topology`]).
-pub(crate) fn build_router(cfg: &NetworkConfig) -> Router {
+/// Builds the precomputed router for `cfg` over `topo`, its validated
+/// topology (from [`validate_and_build_topology`]).
+pub(crate) fn build_router(cfg: &NetworkConfig, topo: &OmegaTopology) -> Router {
     match cfg.routing {
-        Routing::Banyan | Routing::RandomDigit { .. } => {
-            Router::OmegaBase(validate_and_build_topology(cfg).switch_bases())
-        }
+        Routing::Banyan | Routing::RandomDigit { .. } => Router::OmegaBase(topo.switch_bases()),
         Routing::Butterfly => {
             let b = ButterflyTopology::new(cfg.k, cfg.stages);
             let entries = cfg.stages as u64 * b.ports() * cfg.k as u64;
@@ -417,10 +483,10 @@ impl NetworkSim {
     /// Builds a simulator for the given configuration.
     ///
     /// # Panics
-    /// Panics on invalid workload parameters or `stages > MAX_STAGES`.
+    /// Panics on a configuration [`check_config`] refuses.
     pub fn new(cfg: NetworkConfig) -> Self {
         let topo = validate_and_build_topology(&cfg);
-        let router = build_router(&cfg);
+        let router = build_router(&cfg, &topo);
         let ports = topo.ports() as usize;
         let stages = cfg.stages as usize;
         let k = u64::from(cfg.k);
@@ -1298,6 +1364,29 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn too_many_stages_rejected() {
         NetworkSim::new(NetworkConfig::new(2, 17, Workload::uniform(0.1, 1)));
+    }
+
+    #[test]
+    fn check_config_refuses_what_the_simulator_cannot_build() {
+        let check = |k, n| check_config(&NetworkConfig::new(k, n, Workload::uniform(0.5, 1)));
+        assert!(check(2, 17).unwrap_err().contains("at most 16 stages"));
+        assert!(check(16, 7).unwrap_err().contains("wire limit"));
+        // 4^12 wires pass the wire limit, but 12 stages of ports would
+        // need about 7.5 GiB.
+        assert!(check(4, 12).unwrap_err().contains("256 MiB"));
+        assert!(check(1, 3).unwrap_err().contains("at least 2"));
+        let mut cfg = quick_cfg(2, 3, 0.5, 1);
+        cfg.buffer_capacity = Some(0);
+        assert!(check_config(&cfg).unwrap_err().contains("capacity"));
+        cfg.buffer_capacity = None;
+        cfg.workload.p = 1.5;
+        assert!(check_config(&cfg).unwrap_err().contains("probability"));
+        // The deepest k = 2 network, a 2^18-wire k = 8 banyan and Table
+        // II's random-digit k = 8 network at 8 stages all pass.
+        assert_eq!(check(2, 16), Ok(()));
+        assert_eq!(check(8, 6), Ok(()));
+        let deep = NetworkConfig::new(8, 8, Workload::uniform(0.5, 1)).with_random_digit_width(3);
+        assert_eq!(check_config(&deep), Ok(()));
     }
 
     #[test]

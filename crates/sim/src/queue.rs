@@ -177,7 +177,7 @@ struct LindleyState {
 
 impl LindleyState {
     fn new(cfg: &QueueConfig) -> Self {
-        cfg.service.validate();
+        cfg.service.validate().unwrap_or_else(|e| panic!("{e}"));
         LindleyState {
             rng: SmallRng::seed_from_u64(cfg.seed),
             s: 0,

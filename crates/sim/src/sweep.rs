@@ -509,7 +509,7 @@ impl StageSweep {
         if let Err(why) = sweep_eligible(cfg) {
             panic!("the stage-sweep engine cannot run this configuration: {why}");
         }
-        let router = build_router(cfg);
+        let router = build_router(cfg, &topo);
         let ports = topo.ports() as usize;
         let (k, stages) = (cfg.k as usize, cfg.stages as usize);
         let parents = build_parent_tables(&router, ports, k, stages)
@@ -1174,10 +1174,10 @@ mod tests {
                         routing,
                         ..NetworkConfig::new(k, stages, Workload::uniform(0.5, 1))
                     };
-                    let ports = validate_and_build_topology(&cfg).ports() as usize;
+                    let topo = validate_and_build_topology(&cfg);
                     let tables = build_parent_tables(
-                        &build_router(&cfg),
-                        ports,
+                        &build_router(&cfg, &topo),
+                        topo.ports() as usize,
                         k as usize,
                         stages as usize,
                     );

@@ -7,6 +7,10 @@
 //! stage `i` switches on the `i`-th most-significant base-`k` digit of the
 //! destination address.
 
+/// Most ports any topology may have: a guard against typos, far above
+/// every configuration the tables and tests use.
+pub const MAX_PORTS: u64 = 1 << 24;
+
 /// An `n`-stage omega network of `k × k` switches (`N = k^n` ports).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OmegaTopology {
@@ -17,14 +21,14 @@ pub struct OmegaTopology {
 
 impl OmegaTopology {
     /// Builds the topology. `k >= 2`, `stages >= 1`, and `k^stages` must
-    /// fit comfortably in memory (`N <= 2^24` enforced to catch typos).
+    /// fit comfortably in memory (`N <= MAX_PORTS` enforced to catch typos).
     pub fn new(k: u32, stages: u32) -> Self {
         assert!(k >= 2, "switch size must be at least 2");
         assert!(stages >= 1, "need at least one stage");
         let size = (k as u64)
             .checked_pow(stages)
             .expect("network size overflows u64");
-        assert!(size <= 1 << 24, "network with {size} ports is unreasonably large");
+        assert!(size <= MAX_PORTS, "network with {size} ports is unreasonably large");
         OmegaTopology { k, stages, size }
     }
 

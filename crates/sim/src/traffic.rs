@@ -26,22 +26,26 @@ impl ServiceDist {
         ServiceDist::Constant(1)
     }
 
-    /// Validates the parameters, panicking on nonsense.
-    pub fn validate(&self) {
+    /// Validates the parameters, naming the first nonsense one.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
-            ServiceDist::Constant(m) => assert!(*m >= 1, "size must be >= 1"),
+            ServiceDist::Constant(0) => Err("size must be >= 1".into()),
+            ServiceDist::Mixed(sizes) if sizes.is_empty() => Err("mixture must be non-empty".into()),
+            ServiceDist::Mixed(sizes) if sizes.iter().any(|&(m, _)| m == 0) => {
+                Err("sizes must be >= 1".into())
+            }
             ServiceDist::Mixed(sizes) => {
-                assert!(!sizes.is_empty(), "mixture must be non-empty");
-                assert!(sizes.iter().all(|&(m, _)| m >= 1), "sizes must be >= 1");
                 let total: f64 = sizes.iter().map(|&(_, g)| g).sum();
-                assert!(
-                    (total - 1.0).abs() < 1e-9,
-                    "mixture weights must sum to 1, got {total}"
-                );
+                if (total - 1.0).abs() < 1e-9 {
+                    Ok(())
+                } else {
+                    Err(format!("mixture weights must sum to 1, got {total}"))
+                }
             }
-            ServiceDist::Geometric(mu) => {
-                assert!(*mu > 0.0 && *mu <= 1.0, "μ must be in (0,1], got {mu}")
+            ServiceDist::Geometric(mu) if !(*mu > 0.0 && *mu <= 1.0) => {
+                Err(format!("μ must be in (0,1], got {mu}"))
             }
+            ServiceDist::Constant(_) | ServiceDist::Geometric(_) => Ok(()),
         }
     }
 
@@ -116,11 +120,15 @@ impl Workload {
         }
     }
 
-    /// Validates all fields.
-    pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.p), "p must be a probability");
-        assert!((0.0..=1.0).contains(&self.q), "q must be a probability");
-        self.service.validate();
+    /// Validates all fields, naming the first invalid one.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.p) {
+            return Err("p must be a probability".into());
+        }
+        if !(0.0..=1.0).contains(&self.q) {
+            return Err("q must be a probability".into());
+        }
+        self.service.validate()
     }
 
     /// Offered traffic intensity per output port, `ρ = p·E[S]` (square
@@ -189,7 +197,7 @@ mod tests {
     #[test]
     fn mixed_service_frequencies_match_weights() {
         let d = ServiceDist::Mixed(vec![(4, 0.25), (8, 0.75)]);
-        d.validate();
+        d.validate().unwrap();
         assert_eq!(d.mean(), 7.0);
         let mut r = rng();
         let n = 200_000;
@@ -301,12 +309,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "sum to 1")]
     fn bad_mixture_rejected() {
-        ServiceDist::Mixed(vec![(1, 0.3)]).validate();
+        ServiceDist::Mixed(vec![(1, 0.3)]).validate().unwrap();
     }
 
     #[test]
     #[should_panic(expected = "probability")]
     fn bad_p_rejected() {
-        Workload::uniform(1.5, 1).validate();
+        Workload::uniform(1.5, 1).validate().unwrap();
     }
 }

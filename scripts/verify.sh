@@ -324,6 +324,13 @@ if [ "$QUICK" -eq 1 ]; then
     # and manifest_check's sketch validator.
     timed "pmf properties" cargo test -q --offline -p banyan-stats --test properties histogram_
     timed "manifest_check tests" cargo test -q --offline -p banyan-bench --bin manifest_check
+    # The paired estimator behind every overhead gate and perf verdict:
+    # its interval against exact binomial order statistics, its power at
+    # the guard's pass count, and bench_diff's verdicts over the
+    # committed pairs fixture. (The rest of the bench lib times real
+    # runs and stays out of the quick tier.)
+    timed "paired estimator" cargo test -q --offline -p banyan-bench --lib paired::
+    timed "bench_diff tests" cargo test -q --offline -p banyan-bench --bin bench_diff
     # The sweep-vs-scalar engine equivalence property test is cheap and
     # guards the simulator's core bit-identity contract, so it runs even
     # in the quick tier (integration suites are otherwise skipped).

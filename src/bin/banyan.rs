@@ -29,6 +29,7 @@ use banyan_repro::obs::tail::{drift_array_json, drift_line, table_cdf, DriftRepo
 use banyan_repro::obs::trace::{trace_json_from_events, write_trace};
 use banyan_repro::obs::DistSketch;
 use banyan_repro::prelude::*;
+use banyan_repro::sim::network::check_config;
 use banyan_repro::sim::{run_network_replicated_traced, sweep_eligible, ReplicationEngine};
 use std::process::ExitCode;
 
@@ -299,6 +300,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         }
         cfg.buffer_capacity = Some(cap);
     }
+    check_config(&cfg)?;
     let engine = engine_from_flags(flags, &cfg)?;
     let telemetry_path = flags.get("telemetry").cloned();
     let dist_path = flags.get("dist-out").cloned();
@@ -490,6 +492,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     cfg.measure_cycles = cycles;
     cfg.warmup_cycles = (cycles / 10).max(500);
     cfg.seed = seed;
+    check_config(&cfg)?;
     let mut tcfg = TelemetryConfig::on();
     if flags.contains_key("progress") {
         tcfg = tcfg.with_progress();

@@ -20,7 +20,7 @@ use banyan_core::{FirstStage, GeometricService, UniformBernoulli};
 use banyan_obs::json::JsonObject;
 use banyan_obs::tail::DriftReport;
 use banyan_obs::DistSketch;
-use banyan_sim::network::NetworkConfig;
+use banyan_sim::network::{check_config, NetworkConfig};
 use banyan_sim::runner::run_network_replicated;
 use banyan_sim::traffic::{ServiceDist, Workload};
 
@@ -215,14 +215,26 @@ pub fn run_sim(q: &Query, settings: SimSettings) -> SimOutcome {
     }
 }
 
-/// The network configuration [`run_sim`] simulates for `q`.
-fn sim_config(q: &Query, settings: SimSettings) -> NetworkConfig {
+/// Refuses a query whose network the simulator cannot build (see
+/// [`check_config`]). Both simulating modes and the drift probe run
+/// only queries that pass.
+pub fn check_simulable(q: &Query) -> Result<(), String> {
+    check_config(&network_config(q))
+        .map_err(|why| format!("cannot simulate this configuration: {why}"))
+}
+
+fn network_config(q: &Query) -> NetworkConfig {
     let workload = Workload {
         p: q.p,
         q: q.q,
         service: q.service.clone(),
     };
-    let mut cfg = NetworkConfig::new(q.k, q.stages, workload);
+    NetworkConfig::new(q.k, q.stages, workload)
+}
+
+/// The network configuration [`run_sim`] simulates for `q`.
+fn sim_config(q: &Query, settings: SimSettings) -> NetworkConfig {
+    let mut cfg = network_config(q);
     cfg.measure_cycles = settings.cycles;
     cfg.warmup_cycles = (settings.cycles / 10).max(200);
     cfg.seed = settings.seed;

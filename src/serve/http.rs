@@ -190,8 +190,9 @@ pub struct Response {
     pub body: String,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Extra headers, e.g. `X-Banyan-Cache`.
-    pub extra_headers: Vec<(String, String)>,
+    /// Extra headers, e.g. `X-Banyan-Cache`. Every name and value is a
+    /// literal, so attaching one allocates nothing.
+    pub extra_headers: Vec<(&'static str, &'static str)>,
 }
 
 impl Response {
@@ -224,8 +225,8 @@ impl Response {
     }
 
     /// Attaches an extra header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
-        self.extra_headers.push((name.to_string(), value.to_string()));
+    pub fn with_header(mut self, name: &'static str, value: &'static str) -> Self {
+        self.extra_headers.push((name, value));
         self
     }
 
@@ -234,7 +235,7 @@ impl Response {
         self.extra_headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|&(_, v)| v)
     }
 }
 

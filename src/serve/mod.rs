@@ -37,7 +37,9 @@ pub mod http;
 pub mod ops;
 pub mod query;
 
-use answer::{analytic_body, probe_drift, run_sim, sim_body, AnalyticModel, SimSettings};
+use answer::{
+    analytic_body, check_simulable, probe_drift, run_sim, sim_body, AnalyticModel, SimSettings,
+};
 use banyan_obs::json::{JsonObject, JsonValue};
 use banyan_obs::{Counter, Gauge, Registry, Telemetry, TelemetryConfig};
 use cache::{AnswerCache, CachedAnswer};
@@ -918,8 +920,12 @@ fn compute_answer(state: &ServerState, query: &Query) -> Result<CachedAnswer, St
                 source: "analytic",
             })
         }
-        Mode::Simulate => Ok(simulate(state, query, sim_settings, None)),
+        Mode::Simulate => {
+            check_simulable(query)?;
+            Ok(simulate(state, query, sim_settings, None))
+        }
         Mode::Auto => {
+            check_simulable(query)?;
             let Some(model) = AnalyticModel::for_query(query) else {
                 // Outside analytic reach: straight to the simulator.
                 return Ok(simulate(state, query, sim_settings, None));

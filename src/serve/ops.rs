@@ -10,6 +10,7 @@
 //! the serve section of the `overhead_guard` bench (≤1.02× with the
 //! plane fully on).
 
+use super::answer::check_simulable;
 use super::http::{push_u64, Request, Response};
 use super::query::Query;
 use banyan_obs::json::JsonObject;
@@ -185,8 +186,12 @@ impl OpsPlane {
 
     /// Remembers an analytically answerable configuration for the
     /// drift monitor (deduplicated by canonical cache key, FIFO beyond
-    /// the cap).
+    /// the cap). A configuration the simulator cannot build is never
+    /// remembered, so the monitor never probes it.
     pub fn note_hot(&self, query: &Query) {
+        if check_simulable(query).is_err() {
+            return;
+        }
         let key = query.cache_key();
         let mut hot = self.hot.lock().expect("hot keys poisoned");
         if hot.iter().any(|(k, _)| *k == key) {

@@ -365,6 +365,27 @@ fn forced_sweep_refuses_finite_buffers_without_panicking() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// A network the simulator cannot build is refused with exit 1 and the
+/// failed requirement, not a panic (exit 101).
+#[test]
+fn simulate_and_report_refuse_networks_the_simulator_cannot_build() {
+    for (args, needle) in [
+        (&["simulate", "--stages", "17", "--cycles", "500"][..], "at most 16 stages"),
+        (&["simulate", "--k", "16", "--stages", "7", "--cycles", "500"], "wire limit"),
+        (&["simulate", "--k", "4", "--stages", "12", "--cycles", "500"], "256 MiB"),
+        (&["report", "--stages", "17", "--cycles", "500"], "at most 16 stages"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_banyan"))
+            .args(args)
+            .output()
+            .expect("spawn banyan binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn equals_form_flags_match_space_form() {
     // Regression: `--k=4` used to be stored as a flag literally named

@@ -671,6 +671,64 @@ fn access_log_is_written_while_the_daemon_runs_without_drift_polling() {
     assert_eq!(text.lines().count(), N, "shutdown adds no lines: {text}");
 }
 
+/// Networks the simulator cannot build used to panic a worker (the
+/// `auto` drift probe) or the monitor thread (re-probing a hot
+/// analytic key, which also stopped the access log), and the probe of
+/// the `k = 4`, 12-stage network would have allocated about 8 GB. Each
+/// body is answered or refused, and the daemon keeps its full strength.
+#[test]
+fn networks_the_simulator_cannot_build_are_refused_and_the_daemon_keeps_serving() {
+    let log_path = std::env::temp_dir().join(format!(
+        "banyan_serve_test_unbuildable_access_{}.jsonl",
+        std::process::id()
+    ));
+    let handle = spawn(|cfg| {
+        cfg.drift_poll_ms = 20;
+        // Drift never flips /readyz here, so it reads only the workers.
+        cfg.drift_threshold = 1.0;
+        cfg.access_log = Some(log_path.display().to_string());
+    });
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let bodies = [
+        r#"{"k": 2, "stages": 17, "p": 0.5}"#,
+        r#"{"k": 2, "stages": 17, "p": 0.5, "mode": "analytic"}"#,
+        r#"{"k": 4, "stages": 12, "p": 0.5}"#,
+    ];
+    for body in bodies.iter().chain(&bodies) {
+        let resp = client.request("POST", "/query", Some(body)).unwrap();
+        assert!(resp.status == 200 || resp.status == 422, "{body}: {}", resp.body);
+        if !body.contains("analytic") {
+            assert_eq!(resp.status, 422, "{body}: {}", resp.body);
+            assert!(resp.body.contains("cannot simulate"), "{}", resp.body);
+        }
+    }
+    let line_count = || std::fs::read_to_string(&log_path).map_or(0, |t| t.lines().count());
+    let wait_for_lines = |n: usize| {
+        let waited = std::time::Instant::now();
+        while line_count() < n && waited.elapsed() < std::time::Duration::from_secs(10) {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        line_count()
+    };
+    assert_eq!(wait_for_lines(6), 6, "access log before the monitor ticks");
+    // Let the monitor re-probe its hot keys several times.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let valid = r#"{"k": 2, "stages": 6, "p": 0.5}"#;
+    let resp = client.request("POST", "/query", Some(valid)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let mut fresh = Client::connect(&addr).unwrap();
+    let ready = fresh.request("GET", "/readyz", None).unwrap();
+    assert_eq!(ready.status, 200, "{}", ready.body);
+    for _ in 0..20 {
+        assert_eq!(fresh.request("GET", "/healthz", None).unwrap().status, 200);
+    }
+    assert_eq!(wait_for_lines(28), 28, "access log after the monitor ticks");
+    drop((client, fresh));
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_file(&log_path);
+}
+
 #[test]
 fn flow_endpoint_serves_cached_byte_identical_answers() {
     let handle = spawn(|_| {});
