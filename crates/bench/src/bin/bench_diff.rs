@@ -15,36 +15,25 @@
 //! * `no change` otherwise.
 //!
 //! Exits 1 on a regression, an unresolved metric or a larger share of
-//! failed operations on the change side; 2 on bad input.
+//! failed operations on the change side; 2 on bad input, such as a
+//! second run of one workload, seed and side. The bounds are read from
+//! the workspace's `BENCHMARK.json`.
 
 use banyan_bench::manifest::workspace_root;
 use banyan_bench::paired::{median, quartiles, Ratio};
 use banyan_obs::json::JsonValue;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: bench_diff [--bounds BENCHMARK.json] PAIRS.jsonl";
+const USAGE: &str = "usage: bench_diff PAIRS.jsonl";
 
-struct Opts {
-    bounds: PathBuf,
-    pairs: PathBuf,
-}
-
-fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let (mut bounds, mut pairs) = (None, None);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bounds" => bounds = Some(PathBuf::from(it.next().ok_or("--bounds needs a file")?)),
-            other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
-            file if pairs.is_none() => pairs = Some(PathBuf::from(file)),
-            _ => return Err("give exactly one pairs file".into()),
-        }
+fn parse_args(args: &[String]) -> Result<PathBuf, String> {
+    match args {
+        [flag] if flag.starts_with("--") => Err(format!("unknown flag '{flag}'")),
+        [pairs] => Ok(PathBuf::from(pairs)),
+        [] => Err("no pairs file given".into()),
+        _ => Err("give exactly one pairs file".into()),
     }
-    Ok(Opts {
-        bounds: bounds.unwrap_or_else(|| workspace_root().join("BENCHMARK.json")),
-        pairs: pairs.ok_or("no pairs file given")?,
-    })
 }
 
 /// An end-to-end metric: `(name, bound, higher is better)`.
@@ -179,10 +168,20 @@ impl WorkloadDiff {
     }
 }
 
-fn diff(runs: &[Run], bounds: &[Bound]) -> Vec<WorkloadDiff> {
+/// Pairs the runs and judges each workload. `Err` names a second run of
+/// one workload, seed and side: a file that mixes sessions is refused,
+/// not silently cut to its last run.
+fn diff(runs: &[Run], bounds: &[Bound]) -> Result<Vec<WorkloadDiff>, String> {
     let mut by_seed: BTreeMap<(&str, u64), [Option<&Run>; 2]> = BTreeMap::new();
     for r in runs {
-        by_seed.entry((&r.workload, r.seed)).or_default()[usize::from(r.change)] = Some(r);
+        let slot = &mut by_seed.entry((&r.workload, r.seed)).or_default()[usize::from(r.change)];
+        if slot.replace(r).is_some() {
+            let side = if r.change { "change" } else { "base" };
+            return Err(format!(
+                "{} seed {}: a second {side} run",
+                r.workload, r.seed
+            ));
+        }
     }
     let mut by_workload: BTreeMap<&str, (Vec<[&Run; 2]>, Vec<u64>)> = BTreeMap::new();
     for ((workload, seed), sides) in by_seed {
@@ -212,26 +211,26 @@ fn diff(runs: &[Run], bounds: &[Bound]) -> Vec<WorkloadDiff> {
             metrics: metrics.collect(),
         }
     };
-    by_workload.into_iter().map(diff_one).collect()
+    Ok(by_workload.into_iter().map(diff_one).collect())
 }
 
 /// Prints every workload's verdicts and returns the failures.
-fn run(opts: &Opts) -> Result<Vec<String>, String> {
-    let read = |path: &PathBuf| {
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let bounds = JsonValue::parse(&read(&opts.bounds)?)
+fn run(pairs: &Path) -> Result<Vec<String>, String> {
+    let read =
+        |path: &Path| std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()));
+    let spec = workspace_root().join("BENCHMARK.json");
+    let bounds = JsonValue::parse(&read(&spec)?)
         .map_err(|e| e.to_string())
         .and_then(|doc| bounds(&doc))
-        .map_err(|e| format!("{}: {e}", opts.bounds.display()))?;
-    let runs = read(&opts.pairs)?
+        .map_err(|e| format!("{}: {e}", spec.display()))?;
+    let runs = read(pairs)?
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| parse_run(l).map_err(|e| format!("{}:{}: {e}", opts.pairs.display(), i + 1)))
+        .map(|(i, l)| parse_run(l).map_err(|e| format!("{}:{}: {e}", pairs.display(), i + 1)))
         .collect::<Result<Vec<_>, _>>()?;
     let mut failures = Vec::new();
-    for w in diff(&runs, &bounds) {
+    for w in diff(&runs, &bounds).map_err(|e| format!("{}: {e}", pairs.display()))? {
         println!("{}: {} pairs", w.workload, w.pairs);
         if !w.unpaired.is_empty() {
             println!("  unpaired seeds (not compared): {:?}", w.unpaired);
@@ -253,7 +252,7 @@ fn run(opts: &Opts) -> Result<Vec<String>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args).and_then(|opts| run(&opts)) {
+    match parse_args(&args).and_then(|pairs| run(&pairs)) {
         Ok(failures) if failures.is_empty() => {}
         Ok(failures) => {
             for f in &failures {
@@ -303,7 +302,7 @@ mod tests {
     }
 
     fn verdict(runs: &[Run]) -> &'static str {
-        let d = diff(runs, &bench_bounds());
+        let d = diff(runs, &bench_bounds()).unwrap();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].metrics.len(), 1, "only throughput is present");
         d[0].metrics[0].verdict
@@ -315,7 +314,7 @@ mod tests {
         let jitter = |s: u64| 100.0 + 3.0 * ((s * 7 % 5) as f64 - 2.0) / 2.0;
         let r = runs("w", jitter, |s| jitter(s + 1));
         assert_eq!(verdict(&r), "no change");
-        assert!(diff(&r, &bench_bounds())[0].failures().is_empty());
+        assert!(diff(&r, &bench_bounds()).unwrap()[0].failures().is_empty());
     }
 
     #[test]
@@ -331,12 +330,24 @@ mod tests {
         let mut r = runs("w", |_| 100.0, |_| 100.0);
         r.push(parse_run(&line("base", "w", 11, 100.0, 0)).unwrap());
         r.push(parse_run(&line("change", "other", 1, 100.0, 0)).unwrap());
-        let d = diff(&r, &bench_bounds());
+        let d = diff(&r, &bench_bounds()).unwrap();
         assert_eq!((d[0].workload.as_str(), d[0].pairs), ("other", 0));
         assert_eq!(d[0].unpaired, vec![1]);
         assert!(d[0].metrics.is_empty() && d[0].failures().is_empty());
         assert_eq!((d[1].pairs, d[1].unpaired.as_slice()), (10, &[11][..]));
         assert!(d[1].failures().is_empty());
+    }
+
+    #[test]
+    fn a_second_run_of_a_side_is_refused() {
+        let mut r = runs("w", |_| 100.0, |_| 100.0);
+        r.push(parse_run(&line("change", "w", 3, 90.0, 0)).unwrap());
+        let err = diff(&r, &bench_bounds()).err().unwrap();
+        assert_eq!(err, "w seed 3: a second change run");
+        // The same seed of another workload is its own pair.
+        r.pop();
+        r.push(parse_run(&line("change", "other", 3, 90.0, 0)).unwrap());
+        assert!(diff(&r, &bench_bounds()).is_ok());
     }
 
     #[test]
@@ -368,28 +379,25 @@ mod tests {
             })
             .collect();
         std::fs::write(&pairs, lines.join("\n")).unwrap();
-        let bounds = dir.join("BENCHMARK.json");
-        std::fs::write(&bounds, BENCHMARK).unwrap();
-        let opts = parse_args(&[
-            "--bounds".into(),
-            bounds.display().to_string(),
-            pairs.display().to_string(),
-        ])
-        .unwrap();
-        assert_eq!(run(&opts).unwrap(), Vec::<String>::new());
+        let path = parse_args(&[pairs.display().to_string()]).unwrap();
+        assert_eq!(run(&path).unwrap(), Vec::<String>::new());
+        // Appending one seed again makes a second run of a side: refused.
+        std::fs::write(&pairs, [&lines[..], &lines[..1]].concat().join("\n")).unwrap();
+        let err = run(&path).unwrap_err();
+        assert!(err.ends_with("w seed 1: a second base run"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn arg_parsing_validates() {
-        let ok = parse_args(&["--bounds".into(), "b.json".into(), "p.jsonl".into()]).unwrap();
-        assert_eq!(ok.bounds, PathBuf::from("b.json"));
-        assert_eq!(ok.pairs, PathBuf::from("p.jsonl"));
-        let default = parse_args(&["p.jsonl".into()]).unwrap();
-        assert!(default.bounds.ends_with("BENCHMARK.json"));
+        assert_eq!(
+            parse_args(&["p.jsonl".into()]),
+            Ok(PathBuf::from("p.jsonl"))
+        );
         assert!(parse_args(&[]).is_err());
         assert!(parse_args(&["a".into(), "b".into()]).is_err());
         assert!(parse_args(&["--bounds".into()]).is_err());
+        assert!(parse_args(&["--bounds".into(), "b.json".into(), "p.jsonl".into()]).is_err());
         assert!(parse_args(&["--threshold".into(), "1.5".into(), "f".into()]).is_err());
     }
 
@@ -399,7 +407,7 @@ mod tests {
     #[test]
     fn committed_fixture_reads_gain_regression_unresolved_and_failed_ops() {
         let runs: Vec<Run> = FIXTURE.lines().map(|l| parse_run(l).unwrap()).collect();
-        let d = diff(&runs, &bench_bounds());
+        let d = diff(&runs, &bench_bounds()).unwrap();
         let names: Vec<&str> = d.iter().map(|w| w.workload.as_str()).collect();
         assert_eq!(names, ["failing", "gain", "noisy", "slower"]);
         let throughput = |w: &WorkloadDiff| {

@@ -3,8 +3,9 @@
 //! `results/bench_simulator.manifest.json`.
 //!
 //! The timed closures call the *plain* entry points (`run_network`,
-//! `run_queue`), so these medians measure the telemetry-off hot path —
-//! the baseline the `overhead_guard` binary checks against.
+//! `run_queue`), so these medians measure the telemetry-off hot path.
+//! `overhead_guard` times its own paired legs and reads no recorded
+//! medians.
 
 fn main() {
     let scale = banyan_bench::scale_from_args();

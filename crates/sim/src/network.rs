@@ -59,10 +59,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Hard cap on stages. No data structure needs it: the routing digits
-/// of any network under [`MAX_PORTS`] fit one `u64`, and the waits are
-/// folded into per-stage pmfs as they happen. It bounds the range the
-/// tables and tests cover, and [`check_config`] enforces it.
+/// Hard cap on stages: the range the tables and tests cover, enforced
+/// by [`check_config`]. Below it, two structures bound the stage count
+/// on their own. This simulator packs `ceil(log2 k)` bits per stage into
+/// a `u64` digit table, which any network under [`MAX_PORTS`] fits. The
+/// stage sweep packs 4 bits per stage, so it needs at most 16 stages;
+/// [`crate::sweep_eligible`] checks that itself. The waits are
+/// folded into per-stage pmfs as they happen and need no bound.
 pub const MAX_STAGES: usize = 16;
 
 /// Upper bound on the memory one replication allocates up front (see

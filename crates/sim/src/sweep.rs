@@ -87,8 +87,9 @@ const TILE_CYCLES: u64 = 128;
 ///   and no blocking, the serve phase is a pure function of the arrival
 ///   sequence, which is what lets each queue be solved by one Lindley
 ///   recursion instead of a cycle loop;
-/// * `k ≤ 16` and at most 2²² ports — each stage's routing digit is
-///   looked up in a `dest → digits` table packed 4 bits per stage;
+/// * `k ≤ 16`, at most 16 stages and at most 2²² ports — each stage's
+///   routing digit is looked up in a `dest → digits` table packed 4 bits
+///   per stage into one `u64`;
 /// * every cycle index up to the drain bound fits in a `u32` (sweep
 ///   records store cycles as `u32`);
 /// * the expected working set stays under 256 MiB: one tile of 16-byte
@@ -111,6 +112,13 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
         return Err(format!(
             "the sweep packs routing digits 4 bits per stage, so k ≤ 16 is required (got k = {})",
             cfg.k
+        ));
+    }
+    if cfg.stages > u64::BITS / 4 {
+        return Err(format!(
+            "the sweep packs routing digits 4 bits per stage into 64 bits, \
+             so at most 16 stages are allowed (got {})",
+            cfg.stages
         ));
     }
     let ports = (cfg.k as u64)
@@ -1201,6 +1209,10 @@ mod tests {
             (
                 NetworkConfig::new(17, 2, Workload::uniform(0.1, 1)),
                 "k ≤ 16",
+            ),
+            (
+                NetworkConfig::new(2, 17, Workload::uniform(0.001, 1)),
+                "at most 16 stages",
             ),
             (NetworkConfig::new(2, 16, Workload::uniform(0.1, 1)), "MiB"),
         ];

@@ -16,6 +16,8 @@
 #
 # Judge the file with
 #   cargo run --release -p banyan-bench --bin bench_diff -- FILE
+# which refuses a second run of one seed and side: remove FILE before
+# re-running seeds it already holds.
 # Re-running reuses the worktrees and their builds; remove them with
 #   git worktree remove target/pairs/<sha>
 set -euo pipefail
