@@ -14,11 +14,9 @@
 //!    telemetry on against off; bit-identical merged stats. (The JSON
 //!    keeps the `lanes_*` names so recorded results stay comparable.)
 //! 3. The runner with `tracer = None` (`TRACE = false`) against the same
-//!    `run_network` loop on one scoped worker thread, as the runner runs
-//!    its work, so the gate prices `TRACE = false` and not the thread; a
-//!    1% tracer within the enabled envelope; a rate-1.0 tracer records
-//!    every delivery and changes no statistic. The loop on the main
-//!    thread is recorded, ungated, so the thread's cost stays visible.
+//!    `run_network` loop (one replication runs on the calling thread, as
+//!    the loop does); a 1% tracer within the enabled envelope; a
+//!    rate-1.0 tracer records every delivery and changes no statistic.
 //! 4. Serve operations plane: keep-alive batches against a fresh daemon
 //!    per leg and pass, ops off against fully instrumented (serve
 //!    budget), with byte-identical `/query` bodies.
@@ -66,7 +64,7 @@ fn main() {
         measure_cycles: 3_000,
         ..NetworkConfig::new(2, 6, Workload::uniform(0.5, 1))
     };
-    // (name, paired ratio, budget); an infinite budget only records.
+    // (name, paired ratio, budget).
     let mut gates: Vec<(&str, Ratio, f64)> = Vec::new();
     let mut gate = |name, measured: &[f64], reference: &[f64], budget| {
         gates.push((name, Ratio::paired(measured, reference), budget));
@@ -186,23 +184,14 @@ fn main() {
         passes,
         &mut [
             &mut leg(trace_delivered, plain_loop),
-            &mut leg(trace_delivered, || {
-                std::thread::scope(|s| s.spawn(plain_loop).join().expect("reference worker"))
-            }),
             &mut leg(trace_delivered, || traced_run(None).delivered),
             &mut leg(trace_delivered, || {
                 traced_run(Some(&MsgTracer::new(0.01))).delivered
             }),
         ],
     );
-    gate("msgtrace_off_over_threaded", &spans[2], &spans[1], off_max);
-    gate("msgtrace_on_over_threaded", &spans[3], &spans[1], on_max);
-    gate(
-        "msgtrace_off_over_main_thread",
-        &spans[2],
-        &spans[0],
-        f64::INFINITY,
-    );
+    gate("msgtrace_off_over_plain", &spans[1], &spans[0], off_max);
+    gate("msgtrace_on_over_plain", &spans[2], &spans[0], on_max);
 
     // Operations plane: a loopback request is ~20 µs of syscalls and
     // wakeups whose cost depends on the cores the kernel parks worker and
@@ -288,11 +277,7 @@ fn main() {
         .field_f64("serve_budget", serve_max);
     for (name, ratio, budget) in &gates {
         ratio.record(&mut o, name);
-        let budget = budget.is_finite().then(|| format!("budget {budget}x"));
-        eprintln!(
-            "{name:<30} {ratio} ({})",
-            budget.as_deref().unwrap_or("ungated")
-        );
+        eprintln!("{name:<30} {ratio} (budget {budget}x)");
     }
     let json = format!("{}\n", o.finish_pretty(2));
     let results = workspace_root().join("results");

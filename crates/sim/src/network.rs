@@ -60,19 +60,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on stages: the range the tables and tests cover, enforced
-/// by [`check_config`]. Below it, two structures bound the stage count
-/// on their own. This simulator packs `ceil(log2 k)` bits per stage into
-/// a `u64` digit table, which any network under [`MAX_PORTS`] fits. The
-/// stage sweep packs 4 bits per stage, so it needs at most 16 stages;
-/// [`crate::sweep_eligible`] checks that itself. The waits are
-/// folded into per-stage pmfs as they happen and need no bound.
+/// by [`check_config`]. Below it, one structure bounds the stage count
+/// on its own: both engines pack `ceil(log2 k)` bits per stage into a
+/// `u64` digit table (`digit_table`), which any network under
+/// [`MAX_PORTS`] fits. The waits are folded into per-stage pmfs as
+/// they happen and need no bound.
 pub const MAX_STAGES: usize = 16;
 
 /// Upper bound on the memory one replication allocates up front (see
-/// [`check_config`]): the port array, the `dest → digits` table and a
-/// butterfly routing table. The same 256 MiB as the stage sweep's
-/// bound; every configuration the tables, tests and benchmark run stays
-/// under 50 MiB.
+/// [`check_config`]): the port array with each FIFO's kept buffer, the
+/// `dest → digits` table and a butterfly routing table. The same
+/// 256 MiB as the stage sweep's bound; every configuration the tables,
+/// tests and benchmark run stays under 50 MiB.
 const MAX_SIM_BYTES: u64 = 1 << 28;
 
 /// Largest butterfly routing table we materialize (entries). Beyond this
@@ -260,7 +259,7 @@ struct Msg {
     entered: u64,
     /// Injection cycle, or [`UNTRACKED`].
     t0: u64,
-    /// Destination digits from the digit table (see [`pack_digits`]);
+    /// Destination digits from the digit table (see [`digit_table`]);
     /// 0 in random-digit mode, which draws a fresh digit per hop.
     digits: u64,
     size: u32,
@@ -282,16 +281,37 @@ struct Port {
     busy_until: u64,
 }
 
-/// Packs `dest`'s base-`k` destination-tag digits, `bits` bits each,
-/// with stage 0's digit (the most significant) in the low bits.
-pub(crate) fn pack_digits(dest: u64, k: u64, stages: usize, bits: u32) -> u64 {
-    let mut packed = 0u64;
-    let mut rem = dest;
-    for j in (0..stages).rev() {
-        packed |= (rem % k) << (bits as usize * j);
-        rem /= k;
-    }
-    packed
+/// Bits per packed routing digit: `⌈log₂ k⌉`.
+pub(crate) fn digit_bits(k: u32) -> u32 {
+    u32::BITS - (k - 1).leading_zeros()
+}
+
+/// The `dest → packed digits` table of a `k^stages`-port destination-tag
+/// network, shared by both engines: each destination's base-`k` digits,
+/// [`digit_bits`] bits apiece, with stage 0's digit (the most
+/// significant) in the low bits.
+///
+/// # Panics
+/// Panics if the digits do not fit 64 bits. Any network under
+/// [`MAX_PORTS`] wires fits: `k^stages ≤ 2²⁴` and at most 16 stages
+/// need at most 40 bits.
+pub(crate) fn digit_table(k: u32, stages: usize) -> Vec<u64> {
+    let bits = digit_bits(k) as usize;
+    assert!(
+        bits * stages <= 64,
+        "destination digits of k = {k}, {stages} stages do not fit 64 bits"
+    );
+    let k = u64::from(k);
+    (0..k.pow(stages as u32))
+        .map(|dest| {
+            let (mut packed, mut rem) = (0u64, dest);
+            for j in (0..stages).rev() {
+                packed |= (rem % k) << (bits * j);
+                rem /= k;
+            }
+            packed
+        })
+        .collect()
 }
 
 /// Precomputed next-wire routing. All variants produce bit-identical
@@ -337,10 +357,11 @@ impl Router {
 ///   buffer capacity of at least one message, and uniform traffic in
 ///   random-digit mode;
 /// * at most [`MAX_PORTS`] wires per stage;
-/// * a static working set under 256 MiB: one `Port` per stage and wire,
+/// * a static working set under 256 MiB: one `Port` per stage and wire
+///   plus the 4-message buffer its FIFO keeps once it has held a message,
 ///   8 bytes per wire for the destination digits, and 4 bytes per entry
-///   of a materialized butterfly routing table. (Messages in flight come
-///   on top and scale with the load.)
+///   of a materialized butterfly routing table. (Messages in flight
+///   beyond four per queue come on top and scale with the load.)
 pub fn check_config(cfg: &NetworkConfig) -> Result<(), String> {
     cfg.workload.validate()?;
     if cfg.stages == 0 {
@@ -376,18 +397,15 @@ pub fn check_config(cfg: &NetworkConfig) -> Result<(), String> {
             )
         })?;
     let stages = u64::from(cfg.stages);
-    let queues = ports * stages * std::mem::size_of::<Port>() as u64;
+    // A `VecDeque` that has held a message keeps its buffer (capacity 4
+    // after the first push) when it empties.
+    let port = std::mem::size_of::<Port>() + 4 * std::mem::size_of::<Msg>();
+    let queues = ports * stages * port as u64;
     let digits = match cfg.routing {
         Routing::RandomDigit { .. } => 0,
         Routing::Banyan | Routing::Butterfly => 8 * ports,
     };
-    let table = stages * ports * u64::from(cfg.k);
-    let router = if cfg.routing == Routing::Butterfly && table <= MAX_ROUTE_TABLE_ENTRIES {
-        4 * table
-    } else {
-        0
-    };
-    let bytes = queues + digits + router;
+    let bytes = queues + digits + route_table_bytes(cfg, ports);
     if bytes > MAX_SIM_BYTES {
         return Err(format!(
             "k = {}, {} stages needs {} MiB of queues and tables, over the simulator's \
@@ -399,6 +417,18 @@ pub fn check_config(cfg: &NetworkConfig) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Bytes of the butterfly routing table [`build_router`] materializes
+/// for `cfg` on `ports` wires (4 per entry; 0 for omega wiring or a
+/// table past [`MAX_ROUTE_TABLE_ENTRIES`]).
+pub(crate) fn route_table_bytes(cfg: &NetworkConfig, ports: u64) -> u64 {
+    let table = (u64::from(cfg.stages) * u64::from(cfg.k)).saturating_mul(ports);
+    if cfg.routing == Routing::Butterfly && table <= MAX_ROUTE_TABLE_ENTRIES {
+        4 * table
+    } else {
+        0
+    }
 }
 
 /// Validates `cfg` and builds its topology. Shared between the scalar
@@ -443,7 +473,7 @@ pub struct NetworkSim {
     queues: Vec<Port>,
     router: Router,
     /// `dest → packed digits` for destination-tag routing, `digit_bits`
-    /// per stage (see [`pack_digits`]); empty in random-digit mode.
+    /// per stage (see [`digit_table`]); empty in random-digit mode.
     digit_table: Vec<u64>,
     digit_bits: u32,
     /// Per-stage bitset of wires whose queue is non-empty — the serve()
@@ -492,21 +522,9 @@ impl NetworkSim {
         let router = build_router(&cfg, &topo);
         let ports = topo.ports() as usize;
         let stages = cfg.stages as usize;
-        let k = u64::from(cfg.k);
-        // ⌈log₂ k⌉ bits per digit. Any network whose queue array fits in
-        // memory has `k^stages` ports, far inside 64 such bits.
-        let digit_bits = u64::BITS - (k - 1).leading_zeros();
         let digit_table = match cfg.routing {
             Routing::RandomDigit { .. } => Vec::new(),
-            Routing::Banyan | Routing::Butterfly => {
-                assert!(
-                    digit_bits as usize * stages <= 64,
-                    "destination digits of k = {k}, {stages} stages do not fit 64 bits"
-                );
-                (0..ports as u64)
-                    .map(|d| pack_digits(d, k, stages, digit_bits))
-                    .collect()
-            }
+            Routing::Banyan | Routing::Butterfly => digit_table(cfg.k, stages),
         };
         NetworkSim {
             topo,
@@ -516,7 +534,7 @@ impl NetworkSim {
             queues: vec![Port::default(); ports * stages],
             router,
             digit_table,
-            digit_bits,
+            digit_bits: digit_bits(cfg.k),
             active: vec![0u64; ports.div_ceil(64) * stages],
             active_words: ports.div_ceil(64),
             now: 0,
@@ -1377,6 +1395,9 @@ mod tests {
         // 4^12 wires pass the wire limit, but 12 stages of ports would
         // need about 7.5 GiB.
         assert!(check(4, 12).unwrap_err().contains("256 MiB"));
+        // 16^5 wires pass too, but their 5·2^20 queues, each with the
+        // 128-byte buffer its FIFO keeps once used, need ≈ 840 MiB.
+        assert!(check(16, 5).unwrap_err().contains("256 MiB"));
         assert!(check(1, 3).unwrap_err().contains("at least 2"));
         let mut cfg = quick_cfg(2, 3, 0.5, 1);
         cfg.buffer_capacity = Some(0);
@@ -1384,10 +1405,12 @@ mod tests {
         cfg.buffer_capacity = None;
         cfg.workload.p = 1.5;
         assert!(check_config(&cfg).unwrap_err().contains("probability"));
-        // The deepest k = 2 network, a 2^18-wire k = 8 banyan and Table
-        // II's random-digit k = 8 network at 8 stages all pass.
+        // The deepest k = 2 network, a 2^18-wire k = 8 banyan (≈ 254
+        // MiB, the tightest), k = 16 at 4 stages and Table II's
+        // random-digit k = 8 network at 8 stages all pass.
         assert_eq!(check(2, 16), Ok(()));
         assert_eq!(check(8, 6), Ok(()));
+        assert_eq!(check(16, 4), Ok(()));
         let deep = NetworkConfig::new(8, 8, Workload::uniform(0.5, 1)).with_random_digit_width(3);
         assert_eq!(check_config(&deep), Ok(()));
     }

@@ -3,10 +3,10 @@
 //! Statistical accuracy in the tables comes from many independent
 //! replications with distinct seeds. Every statistic is exact integer
 //! state (pmfs, counters, integer sums), so merging is integer addition:
-//! each worker (`std::thread` scoped threads — no `'static` bounds
-//! needed) folds its own replications into one accumulator, and the
-//! worker accumulators are then added up, in any grouping, to the same
-//! result.
+//! each worker (the calling thread, plus `std::thread` scoped threads
+//! when there are more — no `'static` bounds needed) folds its own
+//! replications into one accumulator, and the worker accumulators are
+//! then added up, in any grouping, to the same result.
 //!
 //! Seeding scheme: replication `i` of a run with base seed `s` uses
 //! seed `s + i` (wrapping). Results are therefore identical for any
@@ -180,13 +180,15 @@ pub fn run_network_replicated_traced(
     replicate(reps, threads, tel, worker, NetworkStats::merge)
 }
 
-/// Runs replications `0..reps` on up to `threads` scoped workers and
-/// merges them. Each worker takes one contiguous chunk, builds its
+/// Runs replications `0..reps` on up to `threads` workers and merges
+/// them. Each worker takes one contiguous chunk, builds its
 /// per-replication runner once with `worker()` and folds its
 /// replications into one accumulator inside its `runner/workerNN` span;
-/// the worker accumulators are then merged inside `runner/merge`. The
-/// merges are integer addition, so the result does not depend on
-/// `threads`. A worker's panic is re-raised with its own payload.
+/// the worker accumulators are then merged inside `runner/merge`. Chunk
+/// 0 runs on the calling thread and the rest on scoped threads, so a
+/// single-threaded run spawns nothing. The merges are integer addition,
+/// so the result does not depend on `threads`. A worker's panic is
+/// re-raised with its own payload.
 fn replicate<S, W, R>(
     reps: usize,
     threads: usize,
@@ -204,28 +206,29 @@ where
     // threads does not divide reps.
     let chunk_len = reps.div_ceil(threads);
     let (worker, tel) = (&worker, tel);
+    let chunk = move |idx: usize| {
+        let _span = tel
+            .metrics_enabled()
+            .then(|| tel.span(&format!("runner/worker{idx:02}")));
+        let start = idx * chunk_len;
+        let mut run = worker();
+        let mut acc = run(start);
+        for rep in start + 1..(start + chunk_len).min(reps) {
+            merge(&mut acc, &run(rep));
+        }
+        acc
+    };
     let partials: Vec<S> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .step_by(chunk_len)
-            .enumerate()
-            .map(|(idx, start)| {
-                scope.spawn(move || {
-                    let _span = tel
-                        .metrics_enabled()
-                        .then(|| tel.span(&format!("runner/worker{idx:02}")));
-                    let mut run = worker();
-                    let mut acc = run(start);
-                    for rep in start + 1..(start + chunk_len).min(reps) {
-                        merge(&mut acc, &run(rep));
-                    }
-                    acc
-                })
-            })
+        let handles: Vec<_> = (1..reps.div_ceil(chunk_len))
+            .map(|idx| scope.spawn(move || chunk(idx)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let mut partials = vec![chunk(0)];
+        partials.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        partials
     });
     let _span = tel.metrics_enabled().then(|| tel.span("runner/merge"));
     let mut iter = partials.into_iter();
@@ -430,15 +433,16 @@ mod tests {
 
     #[test]
     fn auto_engine_falls_back_to_scalar_for_wide_switches() {
-        // k = 17 cannot pack digits 4 bits/stage; Auto must run scalar
-        // rather than panic.
-        let mut cfg = NetworkConfig::new(17, 2, Workload::uniform(0.2, 1));
-        cfg.warmup_cycles = 50;
-        cfg.measure_cycles = 200;
-        let auto = run_network_replicated(&cfg, 3, 1);
+        // k = 256 on 2 stages: the sweep's k sub-streams per wire would
+        // take ≈ 540 MB, so Auto must run scalar rather than panic.
+        let mut cfg = NetworkConfig::new(256, 2, Workload::uniform(0.01, 1));
+        cfg.warmup_cycles = 10;
+        cfg.measure_cycles = 40;
+        assert!(sweep_eligible(&cfg).is_err());
+        let auto = run_network_replicated(&cfg, 2, 1);
         let scalar = run_network_replicated_with_engine(
             &cfg,
-            3,
+            2,
             1,
             &Telemetry::off(),
             ReplicationEngine::Scalar,
@@ -609,6 +613,28 @@ mod tests {
             let total = tel.sketches().get("net.wait.total").unwrap();
             assert_eq!(total.total(), inst.delivered);
         }
+    }
+
+    #[test]
+    fn worker_panics_propagate_with_their_payload() {
+        // Chunk 0 runs on the calling thread, the rest on scoped
+        // threads; a panic in either re-raises its own payload.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let merge: fn(&mut u64, &u64) = |a, b| *a += b;
+        for (threads, bad) in [(1usize, 0usize), (2, 0), (2, 3), (4, 5)] {
+            let worker = || {
+                move |rep: usize| {
+                    assert!(rep != bad, "rep {rep} failed");
+                    rep as u64
+                }
+            };
+            let run = || replicate(6, threads, &Telemetry::off(), worker, merge);
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+            let msg = payload.downcast_ref::<String>().expect("formatted payload");
+            assert_eq!(msg, &format!("rep {bad} failed"), "threads = {threads}");
+        }
+        let sum = replicate(6, 4, &Telemetry::off(), || |rep| rep as u64, merge);
+        assert_eq!(sum, 15);
     }
 
     #[test]

@@ -21,19 +21,14 @@
 //! `NetworkStats` to `NetworkSim` run with seed `s`. The argument is
 //! local:
 //!
-//! * RNG: generation replays the scalar engine's draw schedule on the
-//!   same xoshiro256++ stream — one `next_u64` per port per cycle for the
-//!   Bernoulli arrival, with the identical `(w >> 11) as f64 * 2⁻⁵³ < p`
-//!   compare `gen_bool` performs, and the remaining arrival draws through
-//!   [`Workload::sample_arrival_tail`](crate::traffic::Workload::sample_arrival_tail),
-//!   the very code the scalar path runs.
+//! * RNG: generation calls [`Workload::sample_arrival`], the scalar
+//!   inject's own draw, on the same xoshiro256++ stream.
 //! * Order: generation visits cycles then ports ascending (the scalar
 //!   inject order), and a queue's FIFO merges its parents' departures by
 //!   arrival cycle with ties to the lowest source wire (the scalar
 //!   serve's ascending-wire scan order).
-//! * Digits: the same base-`k` destination digits the scalar engine
-//!   extracts (MSB first), stored 4 bits apiece in a `dest → digits`
-//!   table (hence `k ≤ 16`).
+//! * Digits: the scalar engine's table ([`digit_table`]), read by the
+//!   same shift and mask.
 //! * Drain: tiles continue until every tracked message is delivered.
 //!   The replication ends exactly where the scalar drain stops — one
 //!   cycle after its last tracked delivery, never before the measure
@@ -46,26 +41,20 @@
 //!
 //! The pinned bit-assertion tests in `runner.rs` plus the seeded
 //! property tests in `tests/properties.rs` enforce all of this.
+//!
+//! [`Workload::sample_arrival`]: crate::traffic::Workload::sample_arrival
 
 use crate::network::{
-    build_router, max_drain, pack_digits, validate_and_build_topology, NetworkConfig, NetworkStats,
-    ObsState, Router, Routing, HEARTBEAT_CHECK_CYCLES,
+    build_router, digit_bits, digit_table, max_drain, route_table_bytes,
+    validate_and_build_topology, NetworkConfig, NetworkStats, ObsState, Router, Routing,
+    HEARTBEAT_CHECK_CYCLES,
 };
 use banyan_obs::msgtrace::RepTrace;
 use banyan_obs::{DistSketch, Telemetry};
 use banyan_prng::rngs::SmallRng;
-use banyan_prng::{RngCore, SeedableRng};
+use banyan_prng::SeedableRng;
+use std::mem::size_of;
 use std::time::Instant;
-
-/// Beyond this many ports the `dest → packed digits` table (8 bytes per
-/// port) is not worth its memory. Same spirit as
-/// `MAX_ROUTE_TABLE_ENTRIES`.
-const MAX_DIGIT_TABLE_PORTS: usize = 1 << 22;
-
-/// The `u64 → f64 ∈ [0, 1)` scale factor of the workspace PRNG's
-/// standard float distribution. The inlined Bernoulli must reproduce
-/// `Rng::gen_bool` bit-for-bit: same shift, same constant, same compare.
-const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Upper bound on one replication's estimated sweep working set (see
 /// [`sweep_eligible`]). Larger configurations run scalar, whose memory
@@ -87,16 +76,19 @@ const TILE_CYCLES: u64 = 128;
 ///   and no blocking, the serve phase is a pure function of the arrival
 ///   sequence, which is what lets each queue be solved by one Lindley
 ///   recursion instead of a cycle loop;
-/// * `k ≤ 16`, at most 16 stages and at most 2²² ports — each stage's
-///   routing digit is looked up in a `dest → digits` table packed 4 bits
-///   per stage into one `u64`;
 /// * every cycle index up to the drain bound fits in a `u32` (sweep
 ///   records store cycles as `u32`);
-/// * the expected working set stays under 256 MiB: one tile of 16-byte
-///   records at every stage, 4 bytes per cycle each for the injection
-///   and delivery counts, 4 bytes per tracked message for its injection
-///   cycle, and with correlations on 4 bytes per stage per tracked
-///   message for its waits row. (A traced run keeps the rows too.)
+/// * the working set stays under 256 MiB. It counts what
+///   `StageSweep::new` allocates — per `(stage, wire, digit)`
+///   sub-stream a `Vec` header, its 4-byte consumed count and its
+///   4-byte parent-table entry; one `QueueState` per `(stage, wire)`;
+///   per wire 8 bytes of digit table, a generation-stream `Vec` header
+///   and at most 4 bytes of switch base; a butterfly routing table —
+///   plus what a replication grows: one tile of 16-byte records at
+///   every stage, 4 bytes per cycle each for the injection and delivery
+///   counts, 4 bytes per tracked message for its injection cycle, and
+///   with correlations on 4 bytes per stage per tracked message for its
+///   waits row. (A traced run keeps the rows too.)
 pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
     if let Routing::RandomDigit { .. } = cfg.routing {
         return Err("random-digit routing draws a digit per hop; \
@@ -108,28 +100,6 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
             "finite buffers (capacity {cap}) block forwarding; the sweep needs infinite buffers"
         ));
     }
-    if cfg.k > 16 {
-        return Err(format!(
-            "the sweep packs routing digits 4 bits per stage, so k ≤ 16 is required (got k = {})",
-            cfg.k
-        ));
-    }
-    if cfg.stages > u64::BITS / 4 {
-        return Err(format!(
-            "the sweep packs routing digits 4 bits per stage into 64 bits, \
-             so at most 16 stages are allowed (got {})",
-            cfg.stages
-        ));
-    }
-    let ports = (cfg.k as u64)
-        .checked_pow(cfg.stages)
-        .filter(|&p| p <= MAX_DIGIT_TABLE_PORTS as u64)
-        .ok_or_else(|| {
-            format!(
-                "{}^{} ports exceed the sweep's digit-table limit of {MAX_DIGIT_TABLE_PORTS}",
-                cfg.k, cfg.stages
-            )
-        })?;
     let fits_u32 = cfg
         .warmup_cycles
         .checked_add(cfg.measure_cycles)
@@ -140,9 +110,16 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
             "warmup + measure + drain bound exceeds the sweep's 32-bit cycle indices".into(),
         );
     }
-    let stages = cfg.stages as f64;
-    let per_cycle = ports as f64 * cfg.workload.p;
-    let tile = TILE_CYCLES as f64 * per_cycle * stages * 16.0;
+    let (k, stages) = (f64::from(cfg.k), f64::from(cfg.stages));
+    let ports = k.powi(cfg.stages as i32);
+    let stream = size_of::<Vec<SweptMsg>>() as f64;
+    let subs = (stages - 1.0) * ports * k;
+    let tables = subs * (stream + 8.0)
+        + stages * ports * size_of::<QueueState>() as f64
+        + ports * (8.0 + stream + 4.0)
+        + route_table_bytes(cfg, ports as u64) as f64;
+    let per_cycle = ports * cfg.workload.p;
+    let tile = TILE_CYCLES as f64 * per_cycle * stages * size_of::<SweptMsg>() as f64;
     let cycles = (cfg.warmup_cycles + cfg.measure_cycles + TILE_CYCLES) as f64 * 8.0;
     let row = if cfg.collect_correlations {
         4.0 * stages
@@ -150,7 +127,7 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
         0.0
     };
     let tracked = cfg.measure_cycles as f64 * per_cycle * (4.0 + row);
-    let bytes = tile + cycles + tracked;
+    let bytes = tables + tile + cycles + tracked;
     if bytes > MAX_SWEEP_BYTES as f64 {
         return Err(format!(
             "an expected working set of {:.0} MiB exceeds the sweep's per-replication bound of {} MiB",
@@ -159,41 +136,6 @@ pub fn sweep_eligible(cfg: &NetworkConfig) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Register-resident xoshiro256++ for the generation loop: the identical
-/// transition to [`SmallRng`], duplicated here so the per-draw step
-/// inlines into the injection loop (the prng crate's concrete `next_u64`
-/// is an out-of-line call across the crate boundary, and the sweep draws
-/// once per port per cycle).
-#[derive(Clone, Copy)]
-struct InlineRng {
-    s: [u64; 4],
-}
-
-impl InlineRng {
-    /// The stream of `SmallRng::seed_from_u64(seed)`.
-    fn seed_from_u64(seed: u64) -> Self {
-        InlineRng {
-            s: SmallRng::seed_from_u64(seed).state(),
-        }
-    }
-}
-
-impl RngCore for InlineRng {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
 }
 
 /// Sentinel id for sweep records of untracked (warmup/drain) messages.
@@ -326,8 +268,11 @@ struct StageSinks<'a> {
     max_tracked_s: u64,
     /// Tracked deliveries at or past `hard_bound`.
     stuck: u64,
-    /// Forwarding stages: `dest → packed digits`.
+    /// Forwarding stages: `dest → packed digits`, and the shift and mask
+    /// that select the next stage's digit.
     digit_table: &'a [u64],
+    digit_shift: u32,
+    digit_mask: u64,
     /// Occupancy sampling (`OCC` only): the dense
     /// `[tick][stage][wire]` matrix, `occ_stride = stages · ports`.
     sample_every: u64,
@@ -392,7 +337,7 @@ fn walk<const LAST: bool, const OCC: bool, const ROWS: bool>(
             }
             sk.deliveries[si] += 1;
         } else {
-            let d = (sk.digit_table[rec.dest as usize] >> (4 * (sk.j + 1))) & 0xF;
+            let d = (sk.digit_table[rec.dest as usize] >> sk.digit_shift) & sk.digit_mask;
             next[d as usize].push(SweptMsg {
                 a: (s64 + 1).min(sk.h_cap) as u32,
                 ..rec
@@ -435,7 +380,7 @@ fn count_ticks(
 /// One replication's streaming state: the generator, the tile frontier,
 /// the statistics folded so far and the last stage's tallies.
 struct Rep {
-    rng: InlineRng,
+    rng: SmallRng,
     /// First cycle not yet generated.
     upto: u64,
     /// Exclusive tile frontier: stage `j` has served every arrival
@@ -461,9 +406,10 @@ pub(crate) struct StageSweep {
     k: usize,
     stages: usize,
     router: Router,
-    /// `dest → packed digits`, 4 bits per stage (see [`pack_digits`]),
-    /// so a merge step's digit is one shift by a multiple of 4.
+    /// `dest → packed digits`, `digit_bits` per stage (see
+    /// [`digit_table`]).
     digit_table: Vec<u64>,
+    digit_bits: u32,
     /// Inverse wiring of every stage (see [`build_parent_tables`]).
     parents: Vec<Vec<u32>>,
     /// End of the measure window.
@@ -525,9 +471,8 @@ impl StageSweep {
         let measured_end = cfg.warmup_cycles + cfg.measure_cycles;
         let hard_bound = measured_end + max_drain(cfg);
         StageSweep {
-            digit_table: (0..ports)
-                .map(|d| pack_digits(d as u64, cfg.k as u64, stages, 4))
-                .collect(),
+            digit_table: digit_table(cfg.k, stages),
+            digit_bits: digit_bits(cfg.k),
             parents,
             router,
             ports,
@@ -574,35 +519,33 @@ impl StageSweep {
     }
 
     /// Extends the replication's injections to cycle `to`, appending each
-    /// hit to its stage-0 wire's stream `gen[wire]`. The draw sequence —
-    /// one Bernoulli word per port per cycle, plus the arrival tail on
-    /// hits — is the scalar engine's, verbatim. Injections at cycle `t`
-    /// are a pure prefix function of the stream, so generating past the
-    /// replication's end cycle changes nothing before it.
+    /// hit to its stage-0 wire's stream `gen[wire]`. Each port's arrival
+    /// is drawn by the scalar inject's own call, so the draw sequence is
+    /// the scalar engine's. Injections at cycle `t` are a pure prefix
+    /// function of the stream, so generating past the replication's end
+    /// cycle changes nothing before it.
     fn generate<const TRACE: bool>(
         &mut self,
         rep: &mut Rep,
         to: u64,
         mut rt: Option<&mut RepTrace>,
     ) {
-        let p = self.cfg.workload.p;
         let (ports, k, stages) = (self.ports, self.k, self.stages);
         let dig_k = self.cfg.k as u64;
         let tracked_from = self.cfg.warmup_cycles;
         let workload = &self.cfg.workload;
         let digit_table = &self.digit_table[..];
+        let mask = (1u64 << self.digit_bits) - 1;
         let router = &self.router;
-        let mut rng = rep.rng;
+        let mut rng = rep.rng.clone();
         for t in rep.upto..to {
             let tracked = t >= tracked_from && t < self.measured_end;
             let mut injected = 0u32;
             for input in 0..ports {
-                let w = rng.next_u64();
-                // Bit-exact `gen_bool`: same shift, scale, compare.
-                if ((w >> 11) as f64 * F64_SCALE) < p {
-                    let (dest, size) =
-                        workload.sample_arrival_tail(&mut rng, input as u64, ports as u64);
-                    let digit = (digit_table[dest as usize] & 0xF) as usize;
+                if let Some((dest, size)) =
+                    workload.sample_arrival(&mut rng, input as u64, ports as u64)
+                {
+                    let digit = (digit_table[dest as usize] & mask) as usize;
                     let q = router.next(0, ports, k, input, digit);
                     let id = if tracked {
                         // Generation visits injections in the scalar
@@ -666,6 +609,8 @@ impl StageSweep {
             max_tracked_s: rep.max_tracked_s,
             stuck: rep.stuck,
             digit_table: &self.digit_table[..],
+            digit_shift: self.digit_bits * (j as u32 + 1),
+            digit_mask: (1u64 << self.digit_bits) - 1,
             sample_every,
             occ: &mut self.occ,
             occ_stride: stages * ports,
@@ -805,7 +750,7 @@ impl StageSweep {
             tick: 0,
         });
         let mut rep = Rep {
-            rng: InlineRng::seed_from_u64(seed),
+            rng: SmallRng::seed_from_u64(seed),
             upto: 0,
             front: 0,
             tracked: 0,
@@ -940,38 +885,32 @@ mod tests {
 
     #[test]
     fn packed_digits_match_scalar_extraction() {
-        for (k, stages) in [(2u64, 6usize), (3, 4), (16, 5), (10, 3)] {
-            let ports = k.pow(stages as u32);
+        // The sweep reads stage j's digit by the scalar engine's shift
+        // (`digit_bits · j`) and mask: the j-th base-k digit of the
+        // destination, most significant first, at digit widths of 1 to
+        // 6 bits.
+        for (k, stages) in [
+            (2u32, 6u32),
+            (3, 4),
+            (5, 3),
+            (10, 3),
+            (16, 3),
+            (17, 2),
+            (64, 2),
+        ] {
+            let sweep = StageSweep::new(&quick_cfg(k, stages, 0.01, 1));
+            let bits = sweep.digit_bits;
+            assert_eq!(bits, u32::BITS - (k - 1).leading_zeros(), "k={k}");
+            let ports = u64::from(k).pow(stages);
+            assert_eq!(sweep.digit_table.len() as u64, ports);
             for dest in [0, 1, ports / 2, ports - 1] {
-                let packed = pack_digits(dest, k, stages, 4);
+                let packed = sweep.digit_table[dest as usize];
                 let mut rem = dest;
-                let mut expect = vec![0u64; stages];
-                for d in expect.iter_mut().rev() {
-                    *d = rem % k;
-                    rem /= k;
+                for j in (0..stages).rev() {
+                    let digit = (packed >> (bits * j)) & ((1 << bits) - 1);
+                    assert_eq!(digit, rem % u64::from(k), "k={k} dest={dest} stage {j}");
+                    rem /= u64::from(k);
                 }
-                for (j, &d) in expect.iter().enumerate() {
-                    assert_eq!(
-                        (packed >> (4 * j)) & 0xF,
-                        d,
-                        "k={k} stages={stages} dest={dest} digit {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inline_rng_matches_scalar_stream() {
-        for seed in [7u64, 0, u64::MAX, 0xDEAD] {
-            let mut inline = InlineRng::seed_from_u64(seed);
-            let mut scalar = SmallRng::seed_from_u64(seed);
-            for round in 0..64 {
-                assert_eq!(
-                    inline.next_u64(),
-                    scalar.next_u64(),
-                    "seed {seed} round {round}"
-                );
             }
         }
     }
@@ -1198,6 +1137,10 @@ mod tests {
     #[test]
     fn eligibility_names_the_failed_requirement() {
         assert_eq!(sweep_eligible(&quick_cfg(2, 3, 0.5, 1)), Ok(()));
+        // Wide switches run while their tables fit.
+        assert_eq!(sweep_eligible(&quick_cfg(17, 2, 0.5, 1)), Ok(()));
+        let wide = NetworkConfig::new(16, 4, Workload::uniform(0.001, 1));
+        assert_eq!(sweep_eligible(&wide), Ok(()));
         let mut cap = quick_cfg(2, 3, 0.5, 1);
         cap.buffer_capacity = Some(4);
         let cases = [
@@ -1206,13 +1149,15 @@ mod tests {
                 quick_cfg(3, 4, 0.5, 1).with_random_digit_width(2),
                 "destination-tag routing",
             ),
+            // k = 64, n = 3: the sub-stream headers alone take ≈ 805 MB.
             (
-                NetworkConfig::new(17, 2, Workload::uniform(0.1, 1)),
-                "k ≤ 16",
+                NetworkConfig::new(64, 3, Workload::uniform(0.001, 1)),
+                "MiB",
             ),
+            // k = 16, n = 5 needs ≈ 2.2 GiB of sub-streams and queues.
             (
-                NetworkConfig::new(2, 17, Workload::uniform(0.001, 1)),
-                "at most 16 stages",
+                NetworkConfig::new(16, 5, Workload::uniform(0.001, 1)),
+                "MiB",
             ),
             (NetworkConfig::new(2, 16, Workload::uniform(0.1, 1)), "MiB"),
         ];
@@ -1223,8 +1168,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k ≤ 16")]
+    #[should_panic(expected = "exceeds the sweep's per-replication bound")]
     fn new_refuses_ineligible_configurations() {
-        StageSweep::new(&NetworkConfig::new(17, 2, Workload::uniform(0.1, 1)));
+        StageSweep::new(&NetworkConfig::new(256, 2, Workload::uniform(0.1, 1)));
     }
 }

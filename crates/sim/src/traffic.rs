@@ -138,7 +138,10 @@ impl Workload {
     }
 
     /// Samples this cycle's arrival at one input: `None` (no message) or
-    /// `Some((dest, size))`.
+    /// `Some((dest, size))`. Both engines draw every arrival through this
+    /// one function, so they consume the same RNG draw sequence; it is
+    /// inlined into their per-port injection loops.
+    #[inline]
     pub fn sample_arrival<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -148,29 +151,12 @@ impl Workload {
         if !rng.gen_bool(self.p) {
             return None;
         }
-        Some(self.sample_arrival_tail(rng, input, ports))
-    }
-
-    /// The destination/size draws of [`Workload::sample_arrival`], after
-    /// the Bernoulli arrival draw has already come up positive. Split out
-    /// so the stage sweep — which inlines the Bernoulli draw into its
-    /// generation loop — consumes the *same* code (and thus the same
-    /// RNG draw sequence) for the remainder of the arrival. Keeping one
-    /// implementation is what makes sweep-vs-scalar bit-identity a local
-    /// argument instead of a cross-file invariant.
-    #[inline]
-    pub(crate) fn sample_arrival_tail<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        input: u64,
-        ports: u64,
-    ) -> (u64, u32) {
         let dest = if self.q > 0.0 && rng.gen_bool(self.q) {
             input
         } else {
             rng.gen_range(0..ports)
         };
-        (dest, self.service.sample(rng))
+        Some((dest, self.service.sample(rng)))
     }
 }
 

@@ -271,7 +271,18 @@ fn sweep_engine_bit_identity() {
     use banyan_sim::{sweep_eligible, ReplicationEngine};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     check(CASES, |g| {
-        let (k, n) = g.pick(&[(2u32, 2u32), (2, 4), (2, 6), (3, 3), (4, 3), (8, 2)]);
+        // 1- to 5-bit routing digits; k = 17 is past what a 4-bit digit
+        // table holds.
+        let (k, n) = g.pick(&[
+            (2u32, 2u32),
+            (2, 4),
+            (2, 6),
+            (3, 3),
+            (4, 3),
+            (5, 2),
+            (8, 2),
+            (17, 2),
+        ]);
         let m = g.pick(&[1u32, 2, 4]);
         let mut p = g.f64(0.05..0.9);
         if p * m as f64 >= 0.85 {
@@ -459,7 +470,18 @@ fn msgtrace_engines_byte_identical() {
     use banyan_sim::runner::run_network_replicated_traced;
     use banyan_sim::{sweep_eligible, ReplicationEngine};
     check(CASES, |g| {
-        let (k, n) = g.pick(&[(2u32, 2u32), (2, 4), (2, 6), (3, 3), (4, 3), (8, 2)]);
+        // 1- to 5-bit routing digits; k = 17 is past what a 4-bit digit
+        // table holds.
+        let (k, n) = g.pick(&[
+            (2u32, 2u32),
+            (2, 4),
+            (2, 6),
+            (3, 3),
+            (4, 3),
+            (5, 2),
+            (8, 2),
+            (17, 2),
+        ]);
         let m = g.pick(&[1u32, 2, 4]);
         let mut p = g.f64(0.05..0.9);
         if p * m as f64 >= 0.85 {

@@ -284,15 +284,18 @@ msgtrace_smoke() {
     local workdir
     workdir=$(mktemp -d)
     # The tracer's core contract: the scalar and stage-sweep engines
-    # sample the same messages and emit byte-identical trace files.
-    ./target/release/banyan simulate --stages 4 --p 0.5 --cycles 2000 \
-        --reps 2 --engine scalar --msg-trace "$workdir/scalar.jsonl" \
-        --msg-trace-rate 0.5 > /dev/null
-    ./target/release/banyan simulate --stages 4 --p 0.5 --cycles 2000 \
-        --reps 2 --engine sweep --msg-trace "$workdir/sweep.jsonl" \
-        --msg-trace-rate 0.5 > /dev/null
-    cmp "$workdir/scalar.jsonl" "$workdir/sweep.jsonl"
-    echo "ok: scalar and sweep engine trace files byte-identical"
+    # sample the same messages and emit byte-identical trace files, also
+    # with routing digits wider than 4 bits (k = 17).
+    for net in "--stages 4" "--k 17 --stages 2"; do
+        for engine in scalar sweep; do
+            # shellcheck disable=SC2086 # $net is two flag pairs
+            ./target/release/banyan simulate $net --p 0.5 --cycles 2000 \
+                --reps 2 --engine "$engine" --msg-trace "$workdir/$engine.jsonl" \
+                --msg-trace-rate 0.5 > /dev/null
+        done
+        cmp "$workdir/scalar.jsonl" "$workdir/sweep.jsonl"
+        echo "ok: scalar and sweep engine trace files byte-identical ($net)"
+    done
     # Structural validation (header schema, cycle chains, wait sums)
     # by the dedicated tool, then the inspector must accept the file.
     ./target/release/manifest_check "$workdir/scalar.jsonl"

@@ -344,13 +344,15 @@ fn sweep_and_scalar_engines_print_identical_results() {
 
 #[test]
 fn forced_sweep_refuses_wide_switches_without_panicking() {
+    // k = 256 on 2 stages: the scalar engine builds it, but the sweep's
+    // 256 sub-streams per wire would take ≈ 540 MB.
     let (ok, _, stderr) = banyan(&[
-        "simulate", "--k", "17", "--stages", "2", "--p", "0.2", "--cycles", "500", "--engine",
+        "simulate", "--k", "256", "--stages", "2", "--p", "0.2", "--cycles", "500", "--engine",
         "sweep",
     ]);
     assert!(!ok);
     assert!(stderr.contains("--engine sweep cannot run this configuration"), "{stderr}");
-    assert!(stderr.contains("k ≤ 16"), "{stderr}");
+    assert!(stderr.contains("MiB"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
@@ -373,6 +375,7 @@ fn simulate_and_report_refuse_networks_the_simulator_cannot_build() {
         (&["simulate", "--stages", "17", "--cycles", "500"][..], "at most 16 stages"),
         (&["simulate", "--k", "16", "--stages", "7", "--cycles", "500"], "wire limit"),
         (&["simulate", "--k", "4", "--stages", "12", "--cycles", "500"], "256 MiB"),
+        (&["simulate", "--k", "16", "--stages", "5", "--p", "0.001", "--cycles", "500"], "256 MiB"),
         (&["report", "--stages", "17", "--cycles", "500"], "at most 16 stages"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_banyan"))

@@ -694,6 +694,7 @@ fn networks_the_simulator_cannot_build_are_refused_and_the_daemon_keeps_serving(
         r#"{"k": 2, "stages": 17, "p": 0.5}"#,
         r#"{"k": 2, "stages": 17, "p": 0.5, "mode": "analytic"}"#,
         r#"{"k": 4, "stages": 12, "p": 0.5}"#,
+        r#"{"k": 16, "stages": 5, "p": 0.001}"#,
     ];
     for body in bodies.iter().chain(&bodies) {
         let resp = client.request("POST", "/query", Some(body)).unwrap();
@@ -711,7 +712,7 @@ fn networks_the_simulator_cannot_build_are_refused_and_the_daemon_keeps_serving(
         }
         line_count()
     };
-    assert_eq!(wait_for_lines(6), 6, "access log before the monitor ticks");
+    assert_eq!(wait_for_lines(8), 8, "access log before the monitor ticks");
     // Let the monitor re-probe its hot keys several times.
     std::thread::sleep(std::time::Duration::from_millis(200));
     let valid = r#"{"k": 2, "stages": 6, "p": 0.5}"#;
@@ -723,7 +724,7 @@ fn networks_the_simulator_cannot_build_are_refused_and_the_daemon_keeps_serving(
     for _ in 0..20 {
         assert_eq!(fresh.request("GET", "/healthz", None).unwrap().status, 200);
     }
-    assert_eq!(wait_for_lines(28), 28, "access log after the monitor ticks");
+    assert_eq!(wait_for_lines(30), 30, "access log after the monitor ticks");
     drop((client, fresh));
     handle.shutdown().unwrap();
     let _ = std::fs::remove_file(&log_path);
